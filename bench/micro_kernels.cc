@@ -2,12 +2,17 @@
  * @file
  * google-benchmark microbenchmarks of the *host* (native) performance
  * of the library's hot kernels: ray casting, the NNS backends, MLP
- * inference and weighted A*. These measure real wall-clock of the
- * functional code (instrumentation detached), complementing the
- * simulated-cycle figure benches.
+ * inference and training (also on the paper's Table II topologies) and
+ * weighted A*. These measure real wall-clock of the functional code
+ * (instrumentation detached), complementing the simulated-cycle figure
+ * benches.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "nn/mlp.hh"
 #include "robotics/astar.hh"
@@ -118,6 +123,57 @@ BM_MlpInferenceLut(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MlpInferenceLut);
+
+/** Table II topologies (FlyBot, HomeBot, PatrolBot): in, h1, h2, out. */
+const std::vector<std::vector<std::uint32_t>> kPaperNets = {
+    {6, 16, 16, 1}, {192, 32, 32, 6}, {50, 1024, 512, 1}};
+
+/** Seeded net plus one input/target pair for topology range(0). */
+struct PaperNet {
+    explicit PaperNet(benchmark::State &state)
+    {
+        Rng rng(13);
+        nn::MlpConfig cfg;
+        cfg.layers = kPaperNets[std::size_t(state.range(0))];
+        cfg.loss = nn::Loss::AsymmetricMse;
+        cfg.l2Lambda = 0.0001f;
+        cfg.gradClip = 2.5f;
+        net.emplace(cfg, rng);
+        in.resize(cfg.layers.front());
+        target.assign(cfg.layers.back(), 0.5f);
+        out.resize(cfg.layers.back());
+        for (auto &v : in)
+            v = float(rng.uniform());
+        std::string label;
+        for (auto w : cfg.layers)
+            label += (label.empty() ? "" : "/") + std::to_string(w);
+        state.SetLabel(label);
+    }
+    std::optional<nn::Mlp> net;
+    std::vector<float> in, target, out;
+};
+
+void
+BM_MlpTrainSample(benchmark::State &state)
+{
+    PaperNet p(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(p.net->trainSample(p.in, p.target));
+}
+BENCHMARK(BM_MlpTrainSample)->DenseRange(0, 2);
+
+void
+BM_MlpForwardLutPaper(benchmark::State &state)
+{
+    PaperNet p(state);
+    nn::SigmoidLut lut;
+    for (auto _ : state) {
+        p.net->forwardLut(p.in, p.out, lut);
+        benchmark::DoNotOptimize(p.out.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_MlpForwardLutPaper)->Arg(2);
 
 void
 BM_WeightedAStar(benchmark::State &state)

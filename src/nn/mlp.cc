@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -92,63 +93,156 @@ Mlp::macsPerInference() const
     return macs;
 }
 
+namespace {
+
+/** Four floats in one SSE register (GCC vector extension). */
+typedef float V4 __attribute__((vector_size(16)));
+
+V4
+load4(const float *p)
+{
+    V4 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+void
+store4(float *p, V4 v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/**
+ * acc[k] += r_k[j] * x[j] for j = 0..3 in that order, where row k
+ * starts at r + k * stride: the four row products are formed as
+ * vectors, transposed, and added column by column.
+ */
+inline V4
+accumulate4x4(V4 acc, const float *r, std::size_t stride, V4 x)
+{
+    const V4 p0 = load4(r) * x;
+    const V4 p1 = load4(r + stride) * x;
+    const V4 p2 = load4(r + 2 * stride) * x;
+    const V4 p3 = load4(r + 3 * stride) * x;
+    const V4 t0 = __builtin_shufflevector(p0, p1, 0, 4, 1, 5);
+    const V4 t1 = __builtin_shufflevector(p0, p1, 2, 6, 3, 7);
+    const V4 t2 = __builtin_shufflevector(p2, p3, 0, 4, 1, 5);
+    const V4 t3 = __builtin_shufflevector(p2, p3, 2, 6, 3, 7);
+    acc += __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+    acc += __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+    acc += __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+    acc += __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+    return acc;
+}
+
+/**
+ * Pre-activations of one dense layer, out[o] = b[o] + sum_i w[o][i] *
+ * in[i]. Each output's sum runs in input order, bit-identical to the
+ * serial loop; only independent outputs are interleaved, so that the
+ * add latency of one sum no longer bounds the layer: eight at a time
+ * as two 4-lane chains, then the remainder one by one.
+ */
+void
+denseLayer(const float *w, const float *b, const float *in, float *out,
+           std::uint32_t in_n, std::uint32_t out_n)
+{
+    const std::size_t s = in_n;
+    const std::uint32_t in4 = in_n & ~3u;
+    std::uint32_t o = 0;
+    for (; o + 8 <= out_n; o += 8) {
+        const float *r = w + o * s;
+        V4 lo = load4(b + o), hi = load4(b + o + 4);
+        for (std::uint32_t i = 0; i < in4; i += 4) {
+            const V4 x = load4(in + i);
+            lo = accumulate4x4(lo, r + i, s, x);
+            hi = accumulate4x4(hi, r + 4 * s + i, s, x);
+        }
+        store4(out + o, lo);
+        store4(out + o + 4, hi);
+        for (std::uint32_t i = in4; i < in_n; ++i)
+            for (std::size_t k = 0; k < 8; ++k)
+                out[o + k] += r[k * s + i] * in[i];
+    }
+    for (; o < out_n; ++o) {
+        const float *row = w + o * s;
+        float acc = b[o];
+        for (std::uint32_t i = 0; i < in_n; ++i)
+            acc += row[i] * in[i];
+        out[o] = acc;
+    }
+}
+
+/**
+ * SGD step on one weight row: first (when Propagate) pd[i] += row[i] *
+ * d with the pre-step weights, then row[i] -= lr * (clip(d * a[i]) +
+ * l2 * row[i]), four lanes at a time.
+ */
+template <bool Clip, bool Propagate>
+void
+updateRow(float *row, float *pd, const float *a, std::uint32_t n, float d,
+          float lr, float l2, float clip)
+{
+    const V4 hi = V4{} + clip, lo = -hi;
+    std::uint32_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const V4 r = load4(row + i);
+        if constexpr (Propagate)
+            store4(pd + i, load4(pd + i) + r * d);
+        V4 g = d * load4(a + i);
+        if constexpr (Clip)
+            g = g < lo ? lo : (hi < g ? hi : g);  // std::clamp
+        store4(row + i, r - lr * (g + l2 * r));
+    }
+    for (; i < n; ++i) {
+        if constexpr (Propagate)
+            pd[i] += row[i] * d;
+        float g = d * a[i];
+        if constexpr (Clip)
+            g = std::clamp(g, -clip, clip);
+        row[i] -= lr * (g + l2 * row[i]);
+    }
+}
+
+void
+copyOut(const std::vector<float> &out, std::span<float> output)
+{
+    TARTAN_ASSERT(output.size() == out.size(), "output size mismatch");
+    std::copy(out.begin(), out.end(), output.begin());
+}
+
+} // namespace
+
 void
 Mlp::forwardInternal(std::span<const float> input,
-                     std::vector<std::vector<float>> &acts) const
+                     const SigmoidLut *lut) const
 {
     TARTAN_ASSERT(input.size() == cfg.layers.front(), "input size mismatch");
-    acts[0].assign(input.begin(), input.end());
+    std::copy(input.begin(), input.end(), scratch[0].begin());
     for (std::size_t l = 0; l + 1 < cfg.layers.size(); ++l) {
-        const std::uint32_t in_n = cfg.layers[l];
         const std::uint32_t out_n = cfg.layers[l + 1];
-        const float *w = weightData.data() + weightOffsets[l];
-        const float *b = weightData.data() + biasOffsets[l];
-        acts[l + 1].resize(out_n);
-        const bool last = (l + 2 == cfg.layers.size());
-        for (std::uint32_t o = 0; o < out_n; ++o) {
-            float acc = b[o];
-            const float *row = w + static_cast<std::size_t>(o) * in_n;
-            for (std::uint32_t i = 0; i < in_n; ++i)
-                acc += row[i] * acts[l][i];
-            acts[l + 1][o] =
-                (!last || cfg.sigmoidOutput) ? sigmoid(acc) : acc;
-        }
+        float *z = scratch[l + 1].data();
+        denseLayer(weightData.data() + weightOffsets[l],
+                   weightData.data() + biasOffsets[l], scratch[l].data(), z,
+                   cfg.layers[l], out_n);
+        if (l + 2 < cfg.layers.size() || cfg.sigmoidOutput)
+            for (std::uint32_t o = 0; o < out_n; ++o)
+                z[o] = lut ? lut->eval(z[o]) : sigmoid(z[o]);
     }
 }
 
 void
 Mlp::forward(std::span<const float> input, std::span<float> output) const
 {
-    forwardInternal(input, scratch);
-    const auto &out = scratch.back();
-    TARTAN_ASSERT(output.size() == out.size(), "output size mismatch");
-    std::copy(out.begin(), out.end(), output.begin());
+    forwardInternal(input, nullptr);
+    copyOut(scratch.back(), output);
 }
 
 void
 Mlp::forwardLut(std::span<const float> input, std::span<float> output,
                 const SigmoidLut &lut) const
 {
-    std::vector<float> cur(input.begin(), input.end());
-    std::vector<float> next;
-    for (std::size_t l = 0; l + 1 < cfg.layers.size(); ++l) {
-        const std::uint32_t in_n = cfg.layers[l];
-        const std::uint32_t out_n = cfg.layers[l + 1];
-        const float *w = weightData.data() + weightOffsets[l];
-        const float *b = weightData.data() + biasOffsets[l];
-        next.assign(out_n, 0.0f);
-        const bool last = (l + 2 == cfg.layers.size());
-        for (std::uint32_t o = 0; o < out_n; ++o) {
-            float acc = b[o];
-            const float *row = w + static_cast<std::size_t>(o) * in_n;
-            for (std::uint32_t i = 0; i < in_n; ++i)
-                acc += row[i] * cur[i];
-            next[o] = (!last || cfg.sigmoidOutput) ? lut.eval(acc) : acc;
-        }
-        cur.swap(next);
-    }
-    TARTAN_ASSERT(output.size() == cur.size(), "output size mismatch");
-    std::copy(cur.begin(), cur.end(), output.begin());
+    forwardInternal(input, &lut);
+    copyOut(scratch.back(), output);
 }
 
 void
@@ -157,33 +251,22 @@ Mlp::forwardTraced(std::span<const float> input, std::span<float> output,
 {
     // Software-executed neural model: each MAC costs a weight load, an
     // activation load (usually L1-resident), address arithmetic, and the
-    // fused multiply-add itself.
-    std::vector<float> cur(input.begin(), input.end());
-    std::vector<float> next;
+    // fused multiply-add itself; each neuron adds library-call and
+    // activation overhead. The values are forward()'s.
     for (std::size_t l = 0; l + 1 < cfg.layers.size(); ++l) {
         const std::uint32_t in_n = cfg.layers[l];
-        const std::uint32_t out_n = cfg.layers[l + 1];
         const float *w = weightData.data() + weightOffsets[l];
-        const float *b = weightData.data() + biasOffsets[l];
-        next.assign(out_n, 0.0f);
-        const bool last = (l + 2 == cfg.layers.size());
-        for (std::uint32_t o = 0; o < out_n; ++o) {
-            float acc = b[o];
+        for (std::uint32_t o = 0; o < cfg.layers[l + 1]; ++o) {
             const float *row = w + static_cast<std::size_t>(o) * in_n;
             for (std::uint32_t i = 0; i < in_n; ++i) {
                 core.load(reinterpret_cast<tartan::sim::Addr>(row + i), pc,
                           MemDep::Independent);
                 core.exec(3, tartan::sim::OpClass::FpAlu);
-                acc += row[i] * cur[i];
             }
-            // Library-call and activation overhead per neuron.
             core.exec(12, tartan::sim::OpClass::FpAlu);
-            next[o] = (!last || cfg.sigmoidOutput) ? sigmoid(acc) : acc;
         }
-        cur.swap(next);
     }
-    TARTAN_ASSERT(output.size() == cur.size(), "output size mismatch");
-    std::copy(cur.begin(), cur.end(), output.begin());
+    forward(input, output);
 }
 
 float
@@ -233,10 +316,8 @@ Mlp::trainSample(std::span<const float> input,
                  std::span<const float> target)
 {
     const std::size_t num_layers = cfg.layers.size();
-    std::vector<std::vector<float>> acts(num_layers);
-    forwardInternal(input, acts);
-
-    std::vector<float> delta;
+    forwardInternal(input, nullptr);
+    const auto &acts = scratch;
     const float loss = lossAndGradient(acts.back(), target, delta);
 
     // delta currently holds dL/dy of the output layer; convert to
@@ -248,40 +329,42 @@ Mlp::trainSample(std::span<const float> input,
         }
     }
 
+    const float lr = cfg.learningRate;
+    const float l2 = 2.0f * cfg.l2Lambda;
     const float clip = cfg.gradClip;
-    auto clipped = [clip](float g) {
-        if (clip <= 0.0f)
-            return g;
-        return std::clamp(g, -clip, clip);
+    const bool clipping = clip > 0.0f;
+    auto clipped = [clip, clipping](float g) {
+        return clipping ? std::clamp(g, -clip, clip) : g;
     };
 
-    std::vector<float> prev_delta;
     for (std::size_t l = num_layers - 1; l-- > 0;) {
         const std::uint32_t in_n = cfg.layers[l];
         const std::uint32_t out_n = cfg.layers[l + 1];
         float *w = weightData.data() + weightOffsets[l];
         float *b = weightData.data() + biasOffsets[l];
+        // The input layer's delta would never be read: skip it.
+        const bool propagate = l > 0;
+        const auto update =
+            clipping ? (propagate ? updateRow<true, true>
+                                  : updateRow<true, false>)
+                     : (propagate ? updateRow<false, true>
+                                  : updateRow<false, false>);
 
-        prev_delta.assign(in_n, 0.0f);
+        if (propagate)
+            prevDelta.assign(in_n, 0.0f);
         for (std::uint32_t o = 0; o < out_n; ++o) {
-            float *row = w + static_cast<std::size_t>(o) * in_n;
-            const float d = delta[o];
-            for (std::uint32_t i = 0; i < in_n; ++i) {
-                prev_delta[i] += row[i] * d;
-                const float grad =
-                    clipped(d * acts[l][i]) + 2.0f * cfg.l2Lambda * row[i];
-                row[i] -= cfg.learningRate * grad;
-            }
-            b[o] -= cfg.learningRate * clipped(d);
+            update(w + static_cast<std::size_t>(o) * in_n, prevDelta.data(),
+                   acts[l].data(), in_n, delta[o], lr, l2, clip);
+            b[o] -= lr * clipped(delta[o]);
         }
-        if (l > 0) {
+        if (propagate) {
             // Hidden activations are sigmoidal.
             for (std::uint32_t i = 0; i < in_n; ++i) {
                 const float a = acts[l][i];
-                prev_delta[i] *= a * (1.0f - a);
+                prevDelta[i] *= a * (1.0f - a);
             }
+            delta.swap(prevDelta);
         }
-        delta.swap(prev_delta);
     }
     return loss;
 }

@@ -55,7 +55,11 @@ class SigmoidLut
     std::vector<float> table;
 };
 
-/** A fully-connected network with sigmoid hidden activations. */
+/**
+ * A fully-connected network with sigmoid hidden activations. Passes
+ * reuse per-instance buffers, so one Mlp must not be used from two
+ * threads at once, not even through const calls.
+ */
 class Mlp
 {
   public:
@@ -106,9 +110,13 @@ class Mlp
   private:
     static float sigmoid(float x);
 
-    /** Forward pass retaining activations (training). */
+    /**
+     * Forward pass leaving every layer's activations in `scratch`;
+     * hidden (and sigmoid output) neurons go through @p lut when given,
+     * else the exact sigmoid.
+     */
     void forwardInternal(std::span<const float> input,
-                         std::vector<std::vector<float>> &acts) const;
+                         const SigmoidLut *lut) const;
     float lossAndGradient(std::span<const float> output,
                           std::span<const float> target,
                           std::vector<float> &dOut) const;
@@ -118,7 +126,9 @@ class Mlp
     std::vector<float> weightData;
     std::vector<std::size_t> weightOffsets;  //!< per-layer weight start
     std::vector<std::size_t> biasOffsets;    //!< per-layer bias start
+    /** Per-layer activations of the last forward pass. */
     mutable std::vector<std::vector<float>> scratch;
+    std::vector<float> delta, prevDelta;  //!< trainSample() gradients
 };
 
 } // namespace tartan::nn

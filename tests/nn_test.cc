@@ -2,12 +2,15 @@
  * @file
  * Unit tests for the neural substrate: MLP inference and training,
  * the AXAR training techniques (asymmetric loss, L2, gradient
- * clipping), the NPU sigmoid LUT, and PCA.
+ * clipping), the NPU sigmoid LUT, and PCA. The blocked dense-layer
+ * kernels are held bit-exact against a serial reference MLP.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "nn/mlp.hh"
 #include "nn/pca.hh"
@@ -336,6 +339,230 @@ TEST_P(MlpTopologySweep, ConvergesOnSmoothTarget)
         last = net.trainEpoch(ins, outs, n);
     EXPECT_LT(last, first);
     EXPECT_LT(last, 0.02f);
+}
+
+/**
+ * Bit-exactness oracle: the straightforward serial loops (one output
+ * at a time, each sum in input order), kept as the reference the
+ * blocked kernels in Mlp must reproduce exactly. Same weight layout as
+ * Mlp: per layer a row-major (out x in) matrix, then the biases.
+ */
+class RefMlp
+{
+  public:
+    RefMlp(const MlpConfig &config, std::vector<float> weights)
+        : cfg(config), w(std::move(weights))
+    {
+        std::size_t total = 0;
+        for (std::size_t l = 0; l + 1 < cfg.layers.size(); ++l) {
+            wOff.push_back(total);
+            total += std::size_t(cfg.layers[l]) * cfg.layers[l + 1];
+            bOff.push_back(total);
+            total += cfg.layers[l + 1];
+        }
+        EXPECT_EQ(total, w.size());
+    }
+
+    /** Activations of every layer; @p lut replaces the sigmoid. */
+    std::vector<std::vector<float>>
+    forward(std::span<const float> input, const SigmoidLut *lut) const
+    {
+        std::vector<std::vector<float>> acts(cfg.layers.size());
+        acts[0].assign(input.begin(), input.end());
+        for (std::size_t l = 0; l + 1 < cfg.layers.size(); ++l) {
+            const std::uint32_t in_n = cfg.layers[l];
+            const std::uint32_t out_n = cfg.layers[l + 1];
+            const float *wl = w.data() + wOff[l];
+            const float *b = w.data() + bOff[l];
+            acts[l + 1].resize(out_n);
+            const bool last = (l + 2 == cfg.layers.size());
+            for (std::uint32_t o = 0; o < out_n; ++o) {
+                float acc = b[o];
+                const float *row = wl + std::size_t(o) * in_n;
+                for (std::uint32_t i = 0; i < in_n; ++i)
+                    acc += row[i] * acts[l][i];
+                if (last && !cfg.sigmoidOutput)
+                    acts[l + 1][o] = acc;
+                else
+                    acts[l + 1][o] = lut ? lut->eval(acc)
+                                         : 1.0f / (1.0f + std::exp(-acc));
+            }
+        }
+        return acts;
+    }
+
+    float
+    trainSample(std::span<const float> input, std::span<const float> target)
+    {
+        const std::size_t num_layers = cfg.layers.size();
+        const auto acts = forward(input, nullptr);
+        const auto &y = acts.back();
+        std::vector<float> delta(y.size());
+        float loss = 0.0f;
+        for (std::size_t i = 0; i < y.size(); ++i) {
+            const float t = target[i];
+            switch (cfg.loss) {
+              case Loss::Mse: {
+                const float d = y[i] - t;
+                loss += d * d;
+                delta[i] = 2.0f * d;
+                break;
+              }
+              case Loss::AsymmetricMse: {
+                const float d = y[i] - t;
+                const float wt = d > 0.0f ? cfg.asymAlpha : 1.0f;
+                loss += wt * d * d;
+                delta[i] = 2.0f * wt * d;
+                break;
+              }
+              case Loss::Bce: {
+                const float eps = 1e-7f;
+                const float yc = std::clamp(y[i], eps, 1.0f - eps);
+                loss += -(t * std::log(yc) +
+                          (1.0f - t) * std::log(1.0f - yc));
+                delta[i] = (yc - t) / (yc * (1.0f - yc));
+                break;
+              }
+            }
+        }
+        loss /= float(y.size());
+        if (cfg.sigmoidOutput)
+            for (std::size_t i = 0; i < delta.size(); ++i)
+                delta[i] *= y[i] * (1.0f - y[i]);
+        const float clip = cfg.gradClip;
+        auto clipped = [clip](float g) {
+            return clip <= 0.0f ? g : std::clamp(g, -clip, clip);
+        };
+        std::vector<float> prev_delta;
+        for (std::size_t l = num_layers - 1; l-- > 0;) {
+            const std::uint32_t in_n = cfg.layers[l];
+            const std::uint32_t out_n = cfg.layers[l + 1];
+            float *wl = w.data() + wOff[l];
+            float *b = w.data() + bOff[l];
+            prev_delta.assign(in_n, 0.0f);
+            for (std::uint32_t o = 0; o < out_n; ++o) {
+                float *row = wl + std::size_t(o) * in_n;
+                const float d = delta[o];
+                for (std::uint32_t i = 0; i < in_n; ++i) {
+                    prev_delta[i] += row[i] * d;
+                    const float grad = clipped(d * acts[l][i]) +
+                                       2.0f * cfg.l2Lambda * row[i];
+                    row[i] -= cfg.learningRate * grad;
+                }
+                b[o] -= cfg.learningRate * clipped(d);
+            }
+            if (l > 0)
+                for (std::uint32_t i = 0; i < in_n; ++i)
+                    prev_delta[i] *= acts[l][i] * (1.0f - acts[l][i]);
+            delta.swap(prev_delta);
+        }
+        return loss;
+    }
+
+    MlpConfig cfg;
+    std::vector<float> w;
+
+  private:
+    std::vector<std::size_t> wOff, bOff;
+};
+
+bool
+sameBits(std::span<const float> a, std::span<const float> b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(MlpOracle, BlockedKernelsAreBitExact)
+{
+    // Random widths 1..37 cover the 8-output blocks, the outputs left
+    // over after them and input counts that are not a multiple of 4.
+    Rng topo(2024);
+    bool block = false, rows_left = false, cols_left = false;
+    const SigmoidLut lut;
+    const Loss losses[] = {Loss::Mse, Loss::AsymmetricMse, Loss::Bce};
+    for (int trial = 0; trial < 24; ++trial) {
+        MlpConfig base;
+        const int n_layers = 2 + int(topo.uniformInt(3));
+        for (int l = 0; l < n_layers; ++l)
+            base.layers.push_back(1 + std::uint32_t(topo.uniformInt(37)));
+        for (std::size_t l = 0; l + 1 < base.layers.size(); ++l) {
+            block |= base.layers[l + 1] >= 8;
+            rows_left |= base.layers[l + 1] > 8 && base.layers[l + 1] % 8;
+            cols_left |= base.layers[l] > 4 && base.layers[l] % 4;
+        }
+        for (Loss loss : losses)
+            for (float clip : {0.0f, 0.01f})
+                for (float l2 : {0.0f, 0.01f}) {
+                    MlpConfig cfg = base;
+                    cfg.loss = loss;
+                    cfg.gradClip = clip;
+                    cfg.l2Lambda = l2;
+                    cfg.learningRate = 0.05f;
+                    cfg.sigmoidOutput = loss == Loss::Bce || trial % 2;
+                    Rng init(std::uint64_t(trial) + 1);
+                    Mlp net(cfg, init);
+                    RefMlp ref(cfg, net.weights());
+                    Rng data(std::uint64_t(trial) + 100);
+                    std::vector<float> in(cfg.layers.front());
+                    std::vector<float> target(cfg.layers.back());
+                    std::vector<float> out(cfg.layers.back());
+                    for (int step = 0; step < 12; ++step) {
+                        for (auto &v : in)
+                            v = float(data.uniform(-3, 3));
+                        for (auto &v : target)
+                            v = loss == Loss::Bce
+                                    ? float(data.uniformInt(2))
+                                    : float(data.uniform(-1, 1));
+                        const float a = net.trainSample(in, target);
+                        const float b = ref.trainSample(in, target);
+                        ASSERT_TRUE(sameBits({&a, 1}, {&b, 1}))
+                            << "loss, trial " << trial << " step " << step;
+                        ASSERT_TRUE(sameBits(net.weights(), ref.w))
+                            << "weights, trial " << trial << " step "
+                            << step;
+                    }
+                    net.forward(in, out);
+                    EXPECT_TRUE(sameBits(out, ref.forward(in, nullptr).back()))
+                        << "forward, trial " << trial;
+                    net.forwardLut(in, out, lut);
+                    EXPECT_TRUE(sameBits(out, ref.forward(in, &lut).back()))
+                        << "forwardLut, trial " << trial;
+                }
+    }
+    EXPECT_TRUE(block && rows_left && cols_left);
+}
+
+TEST(MlpOracle, TracedForwardKeepsItsCoreCallSequence)
+{
+    // forwardTraced charges one load + exec(3) per weight, in row
+    // order, and exec(12) per neuron: replaying exactly that sequence
+    // on an identical core must give identical counts.
+    tartan::sim::SysConfig sys_cfg;
+    tartan::sim::System traced(sys_cfg), replayed(sys_cfg);
+    Rng rng(5);
+    MlpConfig cfg;
+    cfg.layers = {13, 19, 6};
+    Mlp net(cfg, rng);
+    std::vector<float> in(13, 0.25f), out(6), plain(6);
+    net.forwardTraced(in, out, traced.core(), 7);
+    net.forward(in, plain);
+    EXPECT_TRUE(sameBits(out, plain));
+    const float *w = net.weights().data();
+    for (std::size_t l = 0; l + 1 < cfg.layers.size(); ++l) {
+        for (std::uint32_t o = 0; o < cfg.layers[l + 1]; ++o) {
+            for (std::uint32_t i = 0; i < cfg.layers[l]; ++i) {
+                replayed.core().load(
+                    reinterpret_cast<tartan::sim::Addr>(w++), 7,
+                    tartan::sim::MemDep::Independent);
+                replayed.core().exec(3, tartan::sim::OpClass::FpAlu);
+            }
+            replayed.core().exec(12, tartan::sim::OpClass::FpAlu);
+        }
+        w += cfg.layers[l + 1];  // skip the layer's biases
+    }
+    EXPECT_EQ(traced.core().instructions(), replayed.core().instructions());
+    EXPECT_EQ(traced.core().cycles(), replayed.core().cycles());
 }
 
 INSTANTIATE_TEST_SUITE_P(
