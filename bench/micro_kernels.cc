@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the *host* (native) performance
  * of the library's hot kernels: ray casting, the NNS backends, MLP
- * inference and training (also on the paper's Table II topologies) and
- * weighted A*. These measure real wall-clock of the functional code
+ * inference and training (also on the paper's Table II topologies),
+ * weighted A* and the CRC-32 that guards capture files, journal records
+ * and cache payloads. These measure real wall-clock of the functional code
  * (instrumentation detached), complementing the simulated-cycle figure
  * benches.
  */
@@ -23,6 +24,7 @@
 #include "robotics/nns.hh"
 #include "robotics/raycast.hh"
 #include "sim/arena.hh"
+#include "sim/checksum.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -211,6 +213,21 @@ BM_WeightedAStar(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WeightedAStar)->Arg(1)->Arg(2)->Arg(8);
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    const std::size_t n = std::size_t(state.range(0));
+    std::vector<std::uint8_t> buf(n);
+    Rng rng(23);
+    for (auto &b : buf)
+        b = std::uint8_t(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::crc32Update(0, buf.data(), n));
+    state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(n));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(64 << 20);
 
 } // namespace
 

@@ -42,16 +42,10 @@ setError(std::string *err, const std::string &message)
 std::uint32_t
 bodyCrc(const CaptureTrace &trace)
 {
-    static constexpr auto table = detail::makeCrc32Table();
-    std::uint32_t c = 0xffffffffu;
-    const auto fold = [&c](const void *bytes, std::size_t n) {
-        const auto *p = static_cast<const unsigned char *>(bytes);
-        for (std::size_t i = 0; i < n; ++i)
-            c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-    };
-    fold(trace.records.data(), trace.records.size() * sizeof(CapRecord));
-    fold(trace.aux.data(), trace.aux.size());
-    return c ^ 0xffffffffu;
+    const std::uint32_t c =
+        crc32Update(0, trace.records.data(),
+                    trace.records.size() * sizeof(CapRecord));
+    return crc32Update(c, trace.aux.data(), trace.aux.size());
 }
 
 } // namespace

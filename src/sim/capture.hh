@@ -31,25 +31,29 @@
  *    replay cannot recompute and which are timing-independent.
  *
  * File format (`capture_<confighash16>_<seed>.tcap`): a fixed 64-byte
- * header (magic, format version, CRC-32 of the body via checksum.hh,
- * config hash, seed, record/aux counts) followed by the record array
- * and the aux bytes. Corruption policy mirrors the run journal: a
- * truncated tail, a bit-flipped body, or a foreign-version header make
- * the file invalid as a whole and force a re-capture — a capture is a
- * cache entry, never a source of truth.
+ * header (magic, format version, CRC-32 of the records then the aux
+ * bytes via checksum.hh, config hash, seed, record/aux counts) followed
+ * by the record array and the aux bytes. Corruption policy mirrors the
+ * run journal: a truncated tail, a bit-flipped body, or a
+ * foreign-version header make the file invalid as a whole and force a
+ * re-capture — a capture is a cache entry, never a source of truth.
  *
  * Record buffers use the MmapAlloc substrate from sim/trace: capture
  * runs read host pointers as simulated addresses, so buffers growing
  * inside the malloc arena would perturb the very workload allocations
- * being captured.
+ * being captured. A session reserves its record buffer's address space
+ * once, up front, so recording appends in place instead of remapping
+ * and copying the records at every doubling.
  */
 
 #ifndef TARTAN_SIM_CAPTURE_HH
 #define TARTAN_SIM_CAPTURE_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <span>
 #include <string>
 #include <string_view>
@@ -181,10 +185,25 @@ struct CaptureTrace {
 class CaptureSession
 {
   public:
+    /**
+     * Address space reserved up front for the record buffer (1 GiB,
+     * 32 Mi records). MmapAlloc pages are faulted in on first write, so
+     * the reservation costs no memory until records fill it, and a
+     * capture that fits never regrows: no remap, no copy of the records
+     * so far. Past it the buffer grows by doubling as before.
+     */
+    static constexpr std::size_t kReservedRecords = std::size_t(1) << 25;
+
     CaptureSession(std::uint64_t config_hash, std::uint64_t seed)
     {
         data.configHash = config_hash;
         data.seed = seed;
+        try {
+            data.records.reserve(kReservedRecords);
+        } catch (const std::bad_alloc &) {
+            // No room for the reservation (address-space limit, strict
+            // overcommit): record with ordinary growth instead.
+        }
     }
 
     /** @{ Core-boundary ops. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Checksum primitives for the campaign-resilience layer: CRC-32
- * (IEEE reflected polynomial) guarding journal records and cache
- * payloads against torn writes and bit rot, and FNV-1a 64 hashing
+ * (IEEE reflected polynomial) guarding journal records, cache
+ * payloads and capture bodies against torn writes and bit rot — the
+ * project's one CRC implementation — and FNV-1a 64 hashing
  * configuration descriptions into stable content-address keys. Both
  * are pure functions of their input bytes — no host state, no
  * endianness dependence — so a checksum computed on one machine
@@ -13,6 +14,7 @@
 #define TARTAN_SIM_CHECKSUM_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -22,31 +24,78 @@ namespace tartan::sim {
 
 namespace detail {
 
-/** The reflected CRC-32 (IEEE 802.3) table, computed at compile time. */
-constexpr std::array<std::uint32_t, 256>
-makeCrc32Table()
+/**
+ * The reflected CRC-32 (IEEE 802.3) slicing tables, computed at compile
+ * time. Table 0 is the classic byte table; table k advances a byte
+ * through k further zero bytes, so sixteen lookups fold a whole 16-byte
+ * block into the register at once.
+ */
+constexpr std::array<std::array<std::uint32_t, 256>, 16>
+makeCrc32Tables()
 {
-    std::array<std::uint32_t, 256> table{};
+    std::array<std::array<std::uint32_t, 256>, 16> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 16; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
+}
+
+/** The sixteen slicing tables (16 KiB, constant-initialized). */
+inline constexpr auto kCrc32Tables = makeCrc32Tables();
+
+/** Little-endian 32-bit word at @p p, independent of host byte order. */
+inline std::uint32_t
+loadLe32(const unsigned char *p)
+{
+    return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+           std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
 } // namespace detail
+
+/**
+ * Extend the CRC-32 (IEEE, reflected) @p crc of some prefix by the
+ * @p n bytes at @p data: crc32Update(crc32(a), b) == crc32(a + b), and
+ * crc32Update(0, ...) starts a fresh checksum (the zlib convention).
+ * Slicing-by-16: whole 16-byte blocks take sixteen table lookups, the
+ * remaining bytes go one at a time; both give the bytewise values.
+ */
+inline std::uint32_t
+crc32Update(std::uint32_t crc, const void *data, std::size_t n)
+{
+    const auto &t = detail::kCrc32Tables;
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint32_t c = ~crc;
+    for (; n >= 16; n -= 16, p += 16) {
+        const std::uint32_t w0 = detail::loadLe32(p) ^ c;
+        const std::uint32_t w1 = detail::loadLe32(p + 4);
+        const std::uint32_t w2 = detail::loadLe32(p + 8);
+        const std::uint32_t w3 = detail::loadLe32(p + 12);
+        c = t[15][w0 & 0xffu] ^ t[14][(w0 >> 8) & 0xffu] ^
+            t[13][(w0 >> 16) & 0xffu] ^ t[12][w0 >> 24] ^
+            t[11][w1 & 0xffu] ^ t[10][(w1 >> 8) & 0xffu] ^
+            t[9][(w1 >> 16) & 0xffu] ^ t[8][w1 >> 24] ^
+            t[7][w2 & 0xffu] ^ t[6][(w2 >> 8) & 0xffu] ^
+            t[5][(w2 >> 16) & 0xffu] ^ t[4][w2 >> 24] ^
+            t[3][w3 & 0xffu] ^ t[2][(w3 >> 8) & 0xffu] ^
+            t[1][(w3 >> 16) & 0xffu] ^ t[0][w3 >> 24];
+    }
+    for (; n; --n, ++p)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+    return ~c;
+}
 
 /** CRC-32 (IEEE, reflected) of @p data. */
 inline std::uint32_t
 crc32(std::string_view data)
 {
-    static constexpr auto table = detail::makeCrc32Table();
-    std::uint32_t c = 0xffffffffu;
-    for (char ch : data)
-        c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (c >> 8);
-    return c ^ 0xffffffffu;
+    return crc32Update(0, data.data(), data.size());
 }
 
 /** FNV-1a 64-bit hash of @p data (stable across platforms and runs). */

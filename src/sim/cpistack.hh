@@ -176,7 +176,9 @@ struct CpiStack {
  * shares telescope, so they always sum to exactly @p stall; when
  * stall == total (a Dependent, uncompressed stall) each category
  * receives exactly its component. Pure integer arithmetic in a fixed
- * order makes the split bit-reproducible across hosts.
+ * order makes the split bit-reproducible across hosts. A zero component
+ * leaves cum unchanged, so its share is exactly 0 and its division is
+ * skipped; a stalled load usually has only 1-3 nonzero components.
  */
 inline CpiStack
 splitStall(const CpiStack &comp, Cycles total, Cycles stall)
@@ -187,6 +189,8 @@ splitStall(const CpiStack &comp, Cycles total, Cycles stall)
     Cycles cum = 0;
     Cycles prev = 0;
     for (std::size_t i = 0; i < kNumCpiCats; ++i) {
+        if (!comp.cat[i])
+            continue;
         cum += comp.cat[i];
         const Cycles next = cum * stall / total;
         out.cat[i] = next - prev;

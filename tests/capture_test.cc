@@ -10,7 +10,11 @@
  * and across timing-only machine changes; (3) the capture accounting —
  * one robot execution serves N replays, with persisted captures
  * reloaded (and re-captured when corrupt) on later runs; (4) the
- * resume-mode mix — journaled replayed cells resume byte-identically.
+ * resume-mode mix — journaled replayed cells resume byte-identically;
+ * (5) the capture I/O substrate — the sliced CRC-32 equals the bytewise
+ * definition, a capture file written before it still loads and saves
+ * to the same bytes, and a session whose record reservation cannot be
+ * mapped still records.
  *
  * The static initializer below pins TARTAN_REPLAY / TARTAN_CAPTURE_DIR
  * for this whole binary: RunEnv snapshots the environment on first use,
@@ -19,12 +23,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +41,7 @@
 #include "../bench/bench_util.hh"
 #include "sim/campaign.hh"
 #include "sim/capture.hh"
+#include "sim/checksum.hh"
 #include "sim/runpool.hh"
 #include "workloads/cellcodec.hh"
 #include "workloads/common.hh"
@@ -128,6 +138,72 @@ sampleTrace()
     session.npuInfer(50, 1, layers);
     session.addMetric("planCost", 2.5);
     session.setRobot("TestBot");
+    return session.take();
+}
+
+/**
+ * The fixed synthetic trace behind tests/data/capture_v1_pin.tcap. It
+ * depends on nothing but this code, so every build must record it as
+ * the same records and aux bytes and save it as the same file; editing
+ * it invalidates the pinned file.
+ */
+CaptureTrace
+pinTrace()
+{
+    CaptureSession session(0x0123456789abcdefull, 1234);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    const auto next = [&x] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return x >> 17;
+    };
+    const std::uint64_t base = 0x7f0000000000ull;
+    session.registerKernel("pin.scan");
+    session.registerKernel("pin.plan");
+    session.mapSegment(base, 1 << 20);
+    session.writeThroughRange(base + 0x100000, 4096);
+    session.noAllocateRange(base + 0x200000, 8192);
+    session.npuConfigure(4097);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        session.setKernel(i % 2);
+        session.stageBegin(1 + i % 4);
+        session.itemBegin();
+        session.load(base + next() % (1 << 20), 100 + i,
+                     std::uint8_t(i % 3), 8);
+        session.exec(next() % 64, std::uint8_t(i % 4));
+        session.store(base + next() % (1 << 20), 200 + i, 4);
+        session.stall(next() % 500, std::uint8_t(i % 13));
+        session.countInstructions(next() % 1000);
+        session.vecOp(1 + i);
+        std::uint64_t lanes[4];
+        for (auto &lane : lanes)
+            lane = base + next() % 4096;
+        session.vecLoadLanes(std::span<const std::uint64_t>(lanes, 1 + i % 4),
+                             300 + i, 2, 4, 1);
+        session.deviceLoadLanes(
+            std::span<const std::uint64_t>(lanes, 1 + (i + 1) % 4), 400 + i,
+            10 + i, 9);
+        session.vecLoadContiguous(base + 64 * i, 64, 500 + i);
+        session.itemEnd();
+        session.stageEnd();
+    }
+    session.serialBegin();
+    session.exec(7, 0);
+    session.serialEnd();
+    session.overlapBegin();
+    session.stall(90, 4);
+    session.overlapEnd();
+    session.discountRegion(3);
+    const std::uint32_t ids[] = {0, 1};
+    session.discountKernels(ids, 2);
+    const std::uint32_t layers[] = {50, 1024, 512, 1};
+    session.npuInfer(50, 1, layers);
+    {
+        tartan::sim::CaptureSuppress quiet(&session);
+        session.exec(999, 0); // suppressed: not recorded
+    }
+    session.setRobot("PinBot");
+    session.addMetric("pin.quality", 0.8125);
+    session.addMetric("pin.cost", -3.0e9);
     return session.take();
 }
 
@@ -337,6 +413,150 @@ TEST(CaptureTrace, ValidateRejectsBadOpsAndAuxOverruns)
     err.clear();
     EXPECT_FALSE(bad_aux.validate(&err));
     EXPECT_NE(err.find("aux"), std::string::npos) << err;
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32, format pin and record reservation
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** The CRC-32 definition: one reflected-polynomial step per bit. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+/** The capture file pinned at format version 1. */
+fs::path
+pinPath()
+{
+    return fs::path(__FILE__).parent_path() / "data" /
+           "capture_v1_pin.tcap";
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswers)
+{
+    using tartan::sim::crc32;
+    using tartan::sim::crc32Update;
+    EXPECT_EQ(crc32("123456789"), 0xcbf43926u);
+    EXPECT_EQ(crc32(""), 0u);
+    EXPECT_EQ(crc32Update(0, nullptr, 0), 0u);
+    EXPECT_EQ(crc32Update(0xcbf43926u, nullptr, 0), 0xcbf43926u);
+    // Long enough to take the 16-byte blocks as well as the tail.
+    EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog"),
+              0x414fa339u);
+}
+
+TEST(Crc32, MatchesTheBitwiseDefinitionAtEveryLengthAndOffset)
+{
+    std::mt19937_64 rng(13);
+    std::vector<unsigned char> buf(300 + 16);
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(rng());
+    for (std::size_t off = 0; off < 16; ++off)
+        for (std::size_t len = 0; len <= 300; ++len) {
+            const unsigned char *p = buf.data() + off;
+            ASSERT_EQ(tartan::sim::crc32Update(0, p, len),
+                      bitwiseCrc32(p, len))
+                << "offset " << off << " length " << len;
+        }
+}
+
+TEST(Crc32, ChainedUpdatesEqualOneShot)
+{
+    std::mt19937_64 rng(29);
+    std::string data(4099, '\0');
+    for (char &ch : data)
+        ch = static_cast<char>(rng());
+    const std::uint32_t whole = tartan::sim::crc32(data);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::uint32_t c = 0;
+        std::size_t at = 0;
+        while (at < data.size()) {
+            const std::size_t n =
+                std::min<std::size_t>(rng() % 70, data.size() - at);
+            c = tartan::sim::crc32Update(c, data.data() + at, n);
+            at += n;
+        }
+        ASSERT_EQ(c, whole) << "trial " << trial;
+    }
+}
+
+TEST(CaptureFormatPin, VersionOneFileLoadsAndSavesToTheSameBytes)
+{
+    const std::string pinned = slurp(pinPath());
+    ASSERT_FALSE(pinned.empty()) << "missing " << pinPath();
+    std::uint32_t version = 0;
+    std::memcpy(&version, pinned.data() + 8, 4);
+    EXPECT_EQ(version, 1u);
+    EXPECT_EQ(version, tartan::sim::kCaptureFormatVersion);
+
+    CaptureTrace loaded;
+    std::string err;
+    ASSERT_TRUE(CaptureTrace::load(pinPath().string(), loaded, &err))
+        << err;
+    const fs::path dir = scratchDir("pin");
+    const fs::path resaved = dir / "resaved.tcap";
+    ASSERT_TRUE(loaded.save(resaved.string(), &err)) << err;
+    EXPECT_TRUE(slurp(resaved) == pinned)
+        << "a loaded v1 capture no longer saves to its own bytes";
+
+    // The same synthetic trace recorded and saved by this build.
+    const fs::path fresh = dir / "fresh.tcap";
+    ASSERT_TRUE(pinTrace().save(fresh.string(), &err)) << err;
+    EXPECT_TRUE(slurp(fresh) == pinned)
+        << "this build writes the pinned trace differently";
+}
+
+TEST(CaptureSessionDeathTest, UnmappableReservationFallsBackToGrowth)
+{
+    // Cap the address space 256 MiB above what is mapped now: the 1 GiB
+    // record reservation cannot be mapped, ordinary growth still can.
+    EXPECT_EXIT(
+        {
+            std::uint64_t pages = 0;
+            std::ifstream("/proc/self/statm") >> pages;
+            const rlim_t cap = rlim_t(pages) * rlim_t(::sysconf(_SC_PAGESIZE)) +
+                               (rlim_t(256) << 20);
+            rlimit lim;
+            lim.rlim_cur = cap;
+            lim.rlim_max = cap;
+            if (pages == 0 || ::setrlimit(RLIMIT_AS, &lim) != 0)
+                std::_Exit(2);
+            CaptureSession session(1, 2);
+            bool ok = session.trace().records.capacity() <
+                      CaptureSession::kReservedRecords;
+            const std::uint64_t n = 100000;
+            for (std::uint64_t i = 0; i < n; ++i)
+                session.exec(i, 0);
+            const CaptureTrace trace = session.take();
+            ok = ok && trace.records.size() == n;
+            for (std::uint64_t i = 0; ok && i < n; ++i)
+                ok = trace.records[i].b == i;
+            std::_Exit(ok ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
+TEST(CaptureSession, RecordsIntoTheReservationWithoutRegrowth)
+{
+    CaptureSession session(1, 2);
+    ASSERT_GE(session.trace().records.capacity(),
+              CaptureSession::kReservedRecords);
+    const CapRecord *first = session.trace().records.data();
+    for (std::uint64_t i = 0; i < 100000; ++i)
+        session.exec(i, 0);
+    EXPECT_EQ(session.trace().records.data(), first);
 }
 
 // ---------------------------------------------------------------------------

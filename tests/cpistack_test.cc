@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "sim/cpistack.hh"
 #include "sim/fault.hh"
 #include "sim/report.hh"
@@ -38,7 +41,54 @@ faultCycles(const RunResult &res)
     return total;
 }
 
+/** Reference: the cumulative-floor split evaluated for every category. */
+CpiStack
+splitStallEveryCategory(const CpiStack &comp, Cycles total, Cycles stall)
+{
+    CpiStack out;
+    if (!total || !stall)
+        return out;
+    Cycles cum = 0;
+    Cycles prev = 0;
+    for (std::size_t i = 0; i < kNumCpiCats; ++i) {
+        cum += comp.cat[i];
+        const Cycles next = cum * stall / total;
+        out.cat[i] = next - prev;
+        prev = next;
+    }
+    return out;
+}
+
 } // namespace
+
+TEST(SplitStall, SkippingZeroComponentsMatchesTheFullLoop)
+{
+    std::mt19937_64 rng(20261018);
+    // Largest component per trial: small, medium, and large enough that
+    // cum * stall needs most of the 64 bits (stall is then kept small).
+    const Cycles maxComp[] = {64, Cycles(1) << 20, Cycles(1) << 28,
+                              Cycles(1) << 50};
+    for (int trial = 0; trial < 40000; ++trial) {
+        const Cycles hi = maxComp[trial % 4];
+        const std::size_t nonzero = 1 + (trial / 4) % kNumCpiCats;
+        CpiStack comp;
+        for (std::size_t k = 0; k < nonzero; ++k)
+            comp.cat[rng() % kNumCpiCats] = 1 + rng() % hi;
+        const Cycles total = comp.sum();
+        Cycles stall;
+        if (trial % 3 == 0)
+            stall = total;
+        else if (hi > (Cycles(1) << 28))
+            stall = rng() % 1024;
+        else
+            stall = rng() % (total + 1);
+        const CpiStack fast = splitStall(comp, total, stall);
+        const CpiStack full = splitStallEveryCategory(comp, total, stall);
+        ASSERT_EQ(std::memcmp(&fast, &full, sizeof(CpiStack)), 0)
+            << "trial " << trial << " total " << total << " stall "
+            << stall;
+    }
+}
 
 TEST(SplitStall, SumsExactlyToStall)
 {
