@@ -16,9 +16,9 @@
  * instead of tombstones, so probe chains never accumulate dead slots and
  * lookup cost stays bounded by cluster length at any churn rate.
  *
- * This is a host-side container only: which backend holds the entries is
- * not simulator-observable, which is what lets fast mode swap it in
- * under the fast/slow equivalence harness.
+ * This is a host-side container only: iteration order and layout are
+ * never simulator-observable, so it can back AddrMap's first-touch table
+ * and Bingo's tables.
  */
 
 #ifndef TARTAN_SIM_FLAT_TABLE_HH
@@ -52,14 +52,6 @@ class FlatTable
     /** Number of live entries. */
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
-
-    /** Drop every entry, keeping the current capacity. */
-    void
-    clear()
-    {
-        std::fill(keys.begin(), keys.end(), kEmpty);
-        count = 0;
-    }
 
     /** Pointer to the value under @p key, or null when absent. */
     V *
@@ -148,16 +140,6 @@ class FlatTable
         keys[hole] = kEmpty;
         --count;
         return true;
-    }
-
-    /** Invoke fn(key, value) for every live entry (unspecified order). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            if (keys[i] != kEmpty)
-                fn(keys[i], values[i]);
     }
 
   private:

@@ -10,9 +10,9 @@
  * layer, so bench/selfbench can report where host time actually goes.
  *
  * Attaching a profiler changes *host* timing only — the modeled
- * stats stream is bit-identical with and without it (profiled accesses
- * take the full, unmemoized lookup path, which is observationally
- * equivalent to the fast path by construction).
+ * stats stream is bit-identical with and without it: profiled accesses
+ * take the production walk, and the profiler's hooks in it are
+ * null-checked branches that read the clock and touch nothing else.
  */
 
 #ifndef TARTAN_SIM_HOSTPROF_HH
@@ -75,6 +75,28 @@ struct HostProfiler {
         clock_gettime(CLOCK_MONOTONIC, &ts);
         return std::uint64_t(ts.tv_sec) * 1000000000ull +
                std::uint64_t(ts.tv_nsec);
+    }
+
+    /** Clock and layer totals at the start of one access's walk. */
+    struct Walk {
+        std::uint64_t start = 0;       //!< clock at the walk's start
+        std::uint64_t prefetchNs = 0;  //!< prefetchNs at the start
+        std::uint64_t fillNs = 0;      //!< fillNs at the start
+    };
+
+    /** Open the timing of one access's hierarchy walk. */
+    Walk beginWalk() const { return Walk{now(), prefetchNs, fillNs}; }
+
+    /**
+     * Close it: one more access, and the walk's host time minus the
+     * prefetch and fill work accumulated inside it is cache time.
+     */
+    void
+    endWalk(const Walk &walk)
+    {
+        ++accesses;
+        cacheNs += (now() - walk.start) - (prefetchNs - walk.prefetchNs) -
+                   (fillNs - walk.fillNs);
     }
 
     /** Zero all accumulators. */

@@ -1,7 +1,8 @@
 /**
  * @file
- * Memory-path implementation: hierarchy walk, write-backs, write-through
- * ranges, and prefetch issue with timeliness.
+ * Memory-path implementation: the miss transaction, write-backs,
+ * write-through ranges, prefetch issue with timeliness, and the
+ * observer hooks of the walk.
  */
 
 #include "sim/memsystem.hh"
@@ -40,10 +41,8 @@ MemPath::addWriteThroughRange(Addr base, std::size_t bytes)
 void
 MemPath::enableDeterministicAddressing()
 {
-    if (!addrMap) {
+    if (!addrMap)
         addrMap = std::make_unique<AddrMap>();
-        addrMap->setFastPath(fastPath);
-    }
 }
 
 void
@@ -80,19 +79,69 @@ void
 MemPath::setPrefetcher(std::unique_ptr<Prefetcher> prefetcher)
 {
     pf = std::move(prefetcher);
-    if (pf)
-        pf->setFastMode(fastPath);
+}
+
+void
+MemPath::observe(AccessResult &result, PcId pc, AccessType type)
+{
+    if (faults) {
+        // Tagged as well as added: the CPI stack must charge injected
+        // spikes to the fault category, not to the hierarchy level the
+        // access happened to be serviced from.
+        const Cycles penalty = faults->memPenalty();
+        result.latency += penalty;
+        result.faultCycles += penalty;
+    }
+    if (trace)
+        trace->pcAccess(pc, result.level, type);
+}
+
+AccessResult
+MemPath::writeThroughStore(Addr sim, std::uint32_t size, Cycles now)
+{
+    // Update resident copies without dirtying them (a load-type touch,
+    // no miss counted when absent), stream the store to memory, and
+    // never allocate on a store miss.
+    ++stats.wtStores;
+    ++stats.dramWrites;
+    l1Cache.access(sim, AccessType::Load, size, now, nullptr, false);
+    if (l2Cache.access(sim, AccessType::Load, size, now, nullptr, false)
+            .prefetched)
+        ++stats.pfHitsOther;
+    AccessResult result;
+    result.latency = 1;
+    result.level = MemLevel::Dram;
+    return result;
+}
+
+void
+MemPath::upgradeShared(Addr sim, AccessResult &result)
+{
+    // A store landing on a line this hierarchy holds in Shared state
+    // must acquire ownership before it can dirty the line: the upgrade
+    // invalidates remote copies and clears the local Shared marks, so
+    // the L1 lookup then performs the ordinary silent E -> M transition.
+    const Addr line = l1Cache.lineAddr(sim);
+    if (l1Cache.lineState(line) == MesiState::Shared ||
+        l2Cache.lineState(line) == MesiState::Shared) {
+        const Cycles up = uncoreHook->storeUpgrade(pathId, line);
+        result.latency += up;
+        result.coherenceCycles += up;
+    }
 }
 
 void
 MemPath::writebackToL3(Addr line_addr, Cycles now)
 {
+    // A write-back lookup counts no miss; its scan's victim retires the
+    // fill, since nothing touches the L3 in between.
     ++stats.l3Writebacks;
-    if (l3Cache->probe(line_addr)) {
-        l3Cache->access(line_addr, AccessType::Store, 0, now);
+    std::uint32_t victim = 0;
+    if (l3Cache->access(line_addr, AccessType::Store, 0, now, &victim,
+                        false)
+            .hit)
         return;
-    }
-    auto ev = l3Cache->fill(line_addr, false, true);
+    const auto ev = l3Cache->fillAtWay(line_addr, victim, false, true);
     if (ev.valid && ev.dirty) {
         ++stats.dramWrites;
         if (uncoreHook)
@@ -103,16 +152,18 @@ MemPath::writebackToL3(Addr line_addr, Cycles now)
 void
 MemPath::writebackToL2(Addr line_addr, Cycles now)
 {
-    if (l2Cache.probe(line_addr)) {
+    std::uint32_t victim = 0;
+    const auto res = l2Cache.access(line_addr, AccessType::Store, 0, now,
+                                    &victim, false);
+    if (res.hit) {
         // A write-back landing on a prefetched-unused line consumes the
         // prefetch without a demand load: account it separately so the
         // cache-side prefetchHits counter stays reconcilable.
-        auto res = l2Cache.access(line_addr, AccessType::Store, 0, now);
         if (res.prefetched)
             ++stats.pfHitsOther;
         return;
     }
-    auto ev = l2Cache.fill(line_addr, false, true);
+    const auto ev = l2Cache.fillAtWay(line_addr, victim, false, true);
     if (ev.valid && ev.dirty)
         writebackToL3(ev.lineAddr, now);
 }
@@ -128,17 +179,19 @@ Cycles
 MemPath::fetchThroughL3(Addr addr, Cycles now)
 {
     ++stats.l3Accesses;
-    auto res = l3Cache->access(addr, AccessType::Load, 0, now);
+    std::uint32_t victim = 0;
+    const bool hit =
+        l3Cache->access(addr, AccessType::Load, 0, now, &victim).hit;
     // Coherent paths pay the crossbar traversal to the line's L3
     // slice; an L3 miss then resolves DRAM timing through the banked
     // memory controller instead of the flat dramLatency.
     const Cycles l3_lat =
         uncoreHook ? config.l3Latency + uncoreHook->xbarCost(pathId, addr)
                    : config.l3Latency;
-    if (res.hit)
+    if (hit)
         return l3_lat;
     ++stats.dramReads;
-    auto ev = l3Cache->fill(addr);
+    const auto ev = l3Cache->fillAtWay(addr, victim);
     if (ev.valid && ev.dirty) {
         ++stats.dramWrites;
         if (uncoreHook)
@@ -149,148 +202,26 @@ MemPath::fetchThroughL3(Addr addr, Cycles now)
 }
 
 void
-MemPath::issuePrefetches(const std::vector<Addr> &targets, Cycles now)
+MemPath::issuePrefetches(Cycles now)
 {
     Cycles queue_delay = 0;
-    for (Addr target : targets) {
+    for (Addr target : pfTargets) {
         const Addr line = l2Cache.lineAddr(target);
         ++pf->stats.issued;
-        if (l2Cache.probe(line)) {
+        std::uint32_t victim = 0;
+        if (l2Cache.probe(line, &victim)) {
             ++pf->stats.dropped;
             ++stats.pfDropped;
             continue;
         }
+        // The fetch below touches only the L3, so the probe's victim
+        // choice is still current at the fill.
         const Cycles fetch = fetchThroughL3(line, now);
         const Cycles ready = now + config.l2.latency + fetch + queue_delay;
         queue_delay += config.prefetchBurst;
-        auto ev = l2Cache.fill(line, true, false, ready);
+        const auto ev = l2Cache.fillAtWay(line, victim, true, false, ready);
         if (ev.valid && ev.dirty)
             writebackToL3(ev.lineAddr, now);
-        ++stats.pfIssued;
-    }
-}
-
-void
-MemPath::writebackToL3Fast(Addr line_addr, Cycles now)
-{
-    // Queued write-backs are ordered before this one; retire them first
-    // so the L3 observes the historical operation sequence.
-    if (!txn.l3Writebacks.empty())
-        flushL3Writebacks(now);
-    // count_miss=false: the historical write-back path is probe + fill,
-    // which never bumps the miss counter. The combined lookup carries
-    // the victim choice straight into the fill — nothing touches the L3
-    // in between — so the miss costs one set scan, not two.
-    std::uint32_t victim = 0;
-    const auto looked = l3Cache->lookupForFill(
-        line_addr, AccessType::Store, 0, false, &victim);
-    if (looked == Cache::FastLookup::Defer) {
-        writebackToL3(line_addr, now);
-        return;
-    }
-    ++stats.l3Writebacks;
-    if (looked == Cache::FastLookup::Hit)
-        return;
-    auto ev = l3Cache->fillAtWay(line_addr, victim, false, true);
-    if (ev.valid && ev.dirty)
-        ++stats.dramWrites;
-}
-
-void
-MemPath::flushL3Writebacks(Cycles now)
-{
-    // FIFO retirement: entries were appended in the order the
-    // historical path would have written them back, and nothing touched
-    // the L3 since (the queue is only populated after the transaction's
-    // last inline L3 operation), so draining here preserves the L3's
-    // per-cache operation order exactly. Index loop, not iterators:
-    // writebackToL3 never appends, but keep the drain robust anyway.
-    for (std::size_t i = 0; i < txn.l3Writebacks.size(); ++i) {
-        const Addr line_addr = txn.l3Writebacks[i];
-        std::uint32_t victim = 0;
-        const auto looked = l3Cache->lookupForFill(
-            line_addr, AccessType::Store, 0, false, &victim);
-        if (looked == Cache::FastLookup::Defer) {
-            writebackToL3(line_addr, now);
-            continue;
-        }
-        ++stats.l3Writebacks;
-        if (looked == Cache::FastLookup::Hit)
-            continue;
-        auto ev = l3Cache->fillAtWay(line_addr, victim, false, true);
-        if (ev.valid && ev.dirty)
-            ++stats.dramWrites;
-    }
-    txn.l3Writebacks.clear();
-}
-
-void
-MemPath::writebackToL2Fast(Addr line_addr, Cycles now)
-{
-    // Defer covers both the fast lookup being disabled and a hit on a
-    // prefetched-unused line (pfHitsOther accounting needs the full
-    // access path); writebackToL2 handles either identically to the
-    // historical code. It performs its L3 write-back inline, so any
-    // queued write-backs (ordered earlier) must retire first.
-    std::uint32_t victim = 0;
-    const auto looked = l2Cache.lookupForFill(
-        line_addr, AccessType::Store, 0, false, &victim);
-    if (looked == Cache::FastLookup::Defer) {
-        if (!txn.l3Writebacks.empty())
-            flushL3Writebacks(now);
-        writebackToL2(line_addr, now);
-        return;
-    }
-    if (looked == Cache::FastLookup::Hit)
-        return;
-    auto ev = l2Cache.fillAtWay(line_addr, victim, false, true);
-    if (ev.valid && ev.dirty)
-        txn.l3Writebacks.push_back(ev.lineAddr);
-}
-
-Cycles
-MemPath::fetchThroughL3Fast(Addr addr, Cycles now)
-{
-    std::uint32_t victim = 0;
-    const auto looked =
-        l3Cache->lookupForFill(addr, AccessType::Load, 0, true, &victim);
-    if (looked == Cache::FastLookup::Defer) {
-        // The shared L3's inline lookup was disabled (a sibling path
-        // runs in slow mode): take the historical walk untouched.
-        return fetchThroughL3(addr, now);
-    }
-    ++stats.l3Accesses;
-    if (looked == Cache::FastLookup::Hit)
-        return config.l3Latency;
-    ++stats.dramReads;
-    auto ev = l3Cache->fillAtWay(addr, victim);
-    if (ev.valid && ev.dirty)
-        ++stats.dramWrites;
-    return config.l3Latency + config.dramLatency;
-}
-
-void
-MemPath::issuePrefetchesFast(const std::vector<Addr> &targets, Cycles now)
-{
-    Cycles queue_delay = 0;
-    for (Addr target : targets) {
-        const Addr line = l2Cache.lineAddr(target);
-        ++pf->stats.issued;
-        std::uint32_t victim = 0;
-        if (l2Cache.probeForFill(line, &victim)) {
-            ++pf->stats.dropped;
-            ++stats.pfDropped;
-            continue;
-        }
-        // The fetch below touches only the L3, so the probe above still
-        // proves the line absent from the L2 — and its victim choice
-        // still current — at fill time.
-        const Cycles fetch = fetchThroughL3Fast(line, now);
-        const Cycles ready = now + config.l2.latency + fetch + queue_delay;
-        queue_delay += config.prefetchBurst;
-        auto ev = l2Cache.fillAtWay(line, victim, true, false, ready);
-        if (ev.valid && ev.dirty)
-            writebackToL3Fast(ev.lineAddr, now);
         ++stats.pfIssued;
     }
 }
@@ -362,43 +293,24 @@ MemPath::registerStats(StatsGroup &group)
 }
 
 AccessResult
-MemPath::accessProfiled(Addr addr, AccessType type, std::uint32_t size,
-                        PcId pc, Cycles now)
-{
-    const std::uint64_t t0 = HostProfiler::now();
-    const Addr sim = addrMap ? addrMap->translate(addr) : addr;
-    const std::uint64_t t1 = HostProfiler::now();
-    const std::uint64_t pf_before = hostProf->prefetchNs;
-    const std::uint64_t fill_before = hostProf->fillNs;
-    AccessResult result = accessHooked(addr, sim, type, size, pc, now);
-    const std::uint64_t t2 = HostProfiler::now();
-    ++hostProf->accesses;
-    hostProf->translateNs += t1 - t0;
-    // accessImpl accumulated its prefetch and fill work into their own
-    // layers; what remains of the walk is cache (lookup) time.
-    hostProf->cacheNs += (t2 - t1) - (hostProf->prefetchNs - pf_before) -
-                         (hostProf->fillNs - fill_before);
-    return result;
-}
-
-AccessResult
 MemPath::accessRange(Addr base, std::uint32_t bytes, PcId pc, Cycles now)
 {
     const std::uint32_t line = config.l1.lineBytes;
+    const Addr line_mask = ~static_cast<Addr>(line - 1);
     AccessResult worst;
     bool any = false;
-    const auto take = [&](const AccessResult &res) {
+    const auto take = [&](Addr host, Addr sim) {
+        const AccessResult res =
+            accessLine(host, sim, AccessType::Load, line, pc, now);
         if (!any || res.latency > worst.latency)
             worst = res;
         any = true;
     };
 
     if (!addrMap) {
-        const Addr first = base & ~static_cast<Addr>(line - 1);
-        const Addr last = (base + (bytes ? bytes - 1 : 0)) &
-                          ~static_cast<Addr>(line - 1);
-        for (Addr a = first; a <= last; a += line)
-            take(accessHooked(a, a, AccessType::Load, line, pc, now));
+        const Addr last = (base + (bytes ? bytes - 1 : 0)) & line_mask;
+        for (Addr a = base & line_mask; a <= last; a += line)
+            take(a, a);
         return worst;
     }
 
@@ -414,160 +326,55 @@ MemPath::accessRange(Addr base, std::uint32_t bytes, PcId pc, Cycles now)
     // unambiguous arena segment has a constant (sim - host) delta that
     // is a multiple of 2 MB, so simulated line boundaries coincide with
     // host line boundaries and the grain walk collapses to one access
-    // per host line — same accessHooked sequence, one segment lookup
+    // per host line — the same line sequence, one segment lookup
     // instead of one translation per grain.
+    std::uint64_t t0 = hostProf ? HostProfiler::now() : 0;
     Addr delta = 0;
-    if (fastPath && !hostProf &&
-        addrMap->linearSpan(first, end - first, &delta)) {
-        const Addr line_mask = ~static_cast<Addr>(line - 1);
-        const bool inline_ok = !faults && !trace && !uncoreHook;
-        const auto line_access = [&](Addr host, Addr sim) {
-            if (inline_ok) {
-                std::uint32_t l1_victim = 0;
-                const auto looked = l1Cache.lookupForFill(
-                    sim, AccessType::Load, line, true, &l1_victim);
-                if (looked == Cache::FastLookup::Hit) {
-                    AccessResult res;
-                    res.latency = config.l1.latency;
-                    res.level = MemLevel::L1;
-                    take(res);
-                    return;
-                }
-                if (looked == Cache::FastLookup::Miss) {
-                    AccessResult res;
-                    res.latency = config.l1.latency;
-                    take(accessMissFast(host, sim, AccessType::Load,
-                                        line, pc, now, res, l1_victim));
-                    return;
-                }
-            }
-            take(accessHooked(host, sim, AccessType::Load, line, pc,
-                              now));
-        };
-        line_access(first, (first & line_mask) + delta);
+    const bool linear = addrMap->linearSpan(first, end - first, &delta);
+    if (hostProf)
+        hostProf->translateNs += HostProfiler::now() - t0;
+    if (linear) {
+        take(first, (first & line_mask) + delta);
         for (Addr al = (first & line_mask) + line; al < end; al += line)
-            line_access(al, al + delta);
+            take(al, al + delta);
         return worst;
     }
 
-    const bool prof = hostProf != nullptr;
     Addr prev_line = ~Addr(0);
     for (Addr a = first; a < end; a += AddrMap::kGrainBytes) {
-        std::uint64_t t0 = prof ? HostProfiler::now() : 0;
-        const Addr sim_line =
-            addrMap->translate(a) & ~static_cast<Addr>(line - 1);
-        if (prof)
+        t0 = hostProf ? HostProfiler::now() : 0;
+        const Addr sim_line = addrMap->translate(a) & line_mask;
+        if (hostProf)
             hostProf->translateNs += HostProfiler::now() - t0;
         if (sim_line == prev_line)
             continue;
         prev_line = sim_line;
-        const std::uint64_t pf_before = prof ? hostProf->prefetchNs : 0;
-        const std::uint64_t fill_before = prof ? hostProf->fillNs : 0;
-        t0 = prof ? HostProfiler::now() : 0;
-        take(accessHooked(a, sim_line, AccessType::Load, line, pc, now));
-        if (prof) {
-            ++hostProf->accesses;
-            hostProf->cacheNs += (HostProfiler::now() - t0) -
-                                 (hostProf->prefetchNs - pf_before) -
-                                 (hostProf->fillNs - fill_before);
-        }
+        take(a, sim_line);
     }
     return worst;
 }
 
 AccessResult
-MemPath::accessHooked(Addr host, Addr sim, AccessType type,
-                      std::uint32_t size, PcId pc, Cycles now)
+MemPath::missTransaction(Addr host, Addr sim, AccessType type,
+                         std::uint32_t size, PcId pc, Cycles now,
+                         AccessResult result, std::uint32_t l1_victim)
 {
-    if (faults) {
-        // Cell-layer faults first: an injected crash/hang models the
-        // whole run dying *at* this access, so no further state of
-        // this access should be mutated when it fires.
-        faults->cellFault();
-    }
-    AccessResult result = accessImpl(host, sim, type, size, pc, now);
-    if (faults) {
-        // Tagged as well as added: the CPI stack must charge injected
-        // spikes to the fault category, not to the hierarchy level the
-        // access happened to be serviced from.
-        const Cycles penalty = faults->memPenalty();
-        result.latency += penalty;
-        result.faultCycles += penalty;
-    }
-    if (trace)
-        trace->pcAccess(pc, result.level, type);
-    return result;
-}
-
-AccessResult
-MemPath::accessImpl(Addr host, Addr sim, AccessType type,
-                    std::uint32_t size, PcId pc, Cycles now)
-{
-    AccessResult result;
-    const Addr addr = sim;
-
-    // Write-through ranges: update resident copies without dirtying,
-    // stream the store to memory, and never allocate on a store miss.
-    // Ranges are declared (and matched) in host addresses.
-    if (type == AccessType::Store && inRange(wtRanges, host)) {
-        ++stats.wtStores;
-        ++stats.dramWrites;
-        if (l1Cache.probe(addr))
-            l1Cache.access(addr, AccessType::Load, size, now);
-        if (l2Cache.probe(addr)) {
-            auto res = l2Cache.access(addr, AccessType::Load, size, now);
-            if (res.prefetched)
-                ++stats.pfHitsOther;
-        }
-        result.latency = 1;
-        result.level = MemLevel::Dram;
-        return result;
-    }
-
-    result.latency = config.l1.latency;
-    if (uncoreHook && type == AccessType::Store) {
-        // A store landing on a line this hierarchy holds in Shared
-        // state must acquire ownership before it can dirty the line:
-        // the upgrade invalidates remote copies and clears the local
-        // Shared marks, so the access below performs the ordinary
-        // silent E -> M transition.
-        const Addr line = l1Cache.lineAddr(addr);
-        if (l1Cache.lineState(line) == MesiState::Shared ||
-            l2Cache.lineState(line) == MesiState::Shared) {
-            const Cycles up = uncoreHook->storeUpgrade(pathId, line);
-            result.latency += up;
-            result.coherenceCycles += up;
-        }
-    }
-    auto l1_res = l1Cache.access(addr, type, size, now);
-    if (l1_res.hit) {
-        result.level = MemLevel::L1;
-        return result;
-    }
-    return accessBelowL1(host, sim, type, size, pc, now, result);
-}
-
-AccessResult
-MemPath::accessBelowL1(Addr host, Addr sim, AccessType type,
-                       std::uint32_t size, PcId pc, Cycles now,
-                       AccessResult result)
-{
-    const Addr addr = sim;
     result.latency += config.l2.latency;
-    auto l2_res = l2Cache.access(addr, type, size, now);
+    const Cache::LookupResult l2_res = l2Cache.access(sim, type, size, now);
 
     if (pf && !(faults && faults->prefetchBlackout())) {
         const std::uint64_t t0 = hostProf ? HostProfiler::now() : 0;
-        PrefetchObservation obs{addr, pc, !l2_res.hit};
-        pfQueue.clear();
-        pf->observe(obs, pfQueue);
-        if (!pfQueue.empty())
-            issuePrefetches(pfQueue, now);
+        pfTargets.clear();
+        pf->observe(PrefetchObservation{sim, pc, !l2_res.hit}, pfTargets);
+        if (!pfTargets.empty())
+            issuePrefetches(now);
         if (hostProf)
             hostProf->prefetchNs += HostProfiler::now() - t0;
     }
 
-    const bool no_alloc = inRange(noAllocRanges, host);
+    const bool no_alloc =
+        !noAllocRanges.empty() && inRange(noAllocRanges, host);
+    const bool store = type == AccessType::Store;
 
     if (l2_res.hit) {
         result.level = MemLevel::L2;
@@ -584,7 +391,7 @@ MemPath::accessBelowL1(Addr host, Addr sim, AccessType type,
         }
         if (!no_alloc) {
             const std::uint64_t f0 = hostProf ? HostProfiler::now() : 0;
-            auto ev = l1Cache.fill(addr, false, type == AccessType::Store);
+            const auto ev = l1Cache.fillAtWay(sim, l1_victim, false, store);
             if (ev.valid && ev.dirty)
                 writebackToL2(ev.lineAddr, now);
             if (hostProf)
@@ -600,127 +407,33 @@ MemPath::accessBelowL1(Addr host, Addr sim, AccessType type,
         // so the fetch below hits it there; remote clean copies are
         // invalidated (store) or downgraded to Shared (load).
         const auto act = uncoreHook->resolveMiss(
-            pathId, l2Cache.lineAddr(addr), type == AccessType::Store,
-            now);
+            pathId, l2Cache.lineAddr(sim), store, now);
         result.latency += act.cycles;
         result.coherenceCycles += act.cycles;
         fill_shared = act.shared;
     }
 
     const std::uint64_t f0 = hostProf ? HostProfiler::now() : 0;
-    const Cycles below = fetchThroughL3(addr, now);
+    const Cycles below = fetchThroughL3(sim, now);
     result.latency += below;
     result.level = below > l3HitCeiling() ? MemLevel::Dram : MemLevel::L3;
 
     if (!no_alloc) {
-        auto l2_ev = l2Cache.fill(addr);
+        // A general fill at the L2: prefetch issue may have modified
+        // the set since the lookup above.
+        const auto l2_ev = l2Cache.fill(sim);
         if (l2_ev.valid && l2_ev.dirty)
             writebackToL3(l2_ev.lineAddr, now);
-        auto l1_ev = l1Cache.fill(addr, false, type == AccessType::Store);
+        const auto l1_ev = l1Cache.fillAtWay(sim, l1_victim, false, store);
         if (l1_ev.valid && l1_ev.dirty)
             writebackToL2(l1_ev.lineAddr, now);
         if (fill_shared) {
-            l2Cache.markShared(addr);
-            l1Cache.markShared(addr);
+            l2Cache.markShared(sim);
+            l1Cache.markShared(sim);
         }
     }
     if (hostProf)
         hostProf->fillNs += HostProfiler::now() - f0;
-    return result;
-}
-
-AccessResult
-MemPath::accessMissFast(Addr host, Addr sim, AccessType type,
-                        std::uint32_t size, PcId pc, Cycles now,
-                        AccessResult result, std::uint32_t l1_victim)
-{
-    // Reachable only from the inline fast path: no fault injector, no
-    // trace session, no host profiler, and the L1 miss already proved
-    // and counted. Mirrors accessBelowL1 statement for statement; the
-    // only differences are host-cost ones — inline L2/L3 lookups, fused
-    // known-absent fills in place of the historical lookup+rescan
-    // pairs, and the demand fill chain's L3 write-backs coalesced into
-    // txn.l3Writebacks and retired at the end of the transaction.
-    // Nothing between the proving lookup and each fill can have
-    // installed the demand line: prefetch targets never include the
-    // observed line itself, and the L3 fetch touches no private cache.
-    const Addr addr = sim;
-    result.latency += config.l2.latency;
-
-    Cache::LookupResult l2_res;
-    switch (l2Cache.lookupFast(addr, type, size)) {
-      case Cache::FastLookup::Hit:
-        l2_res.hit = true;
-        break;
-      case Cache::FastLookup::Miss:
-        break;
-      case Cache::FastLookup::Defer:
-        // Prefetched-line hit (timeliness needs `now`) or the inline
-        // lookup is off: take the full historical lookup.
-        l2_res = l2Cache.access(addr, type, size, now);
-        break;
-    }
-
-    if (pf) {
-        // Prefetch candidates are collected into the transaction record
-        // and issued before the demand fill, exactly where the
-        // historical path issues them. Each candidate's L3 fetch and
-        // victim write-back stay inline and in order (a queued
-        // write-back could otherwise install a line a later candidate's
-        // fetch must miss on).
-        PrefetchObservation obs{addr, pc, !l2_res.hit};
-        txn.pfTargets.clear();
-        pf->observe(obs, txn.pfTargets);
-        if (!txn.pfTargets.empty())
-            issuePrefetchesFast(txn.pfTargets, now);
-    }
-
-    const bool no_alloc = inRange(noAllocRanges, host);
-
-    if (l2_res.hit) {
-        result.level = MemLevel::L2;
-        if (l2_res.prefetched) {
-            result.prefetchHit = true;
-            result.latency += l2_res.latePenalty;
-            result.lateCycles = l2_res.latePenalty;
-            if (l2_res.latePenalty) {
-                ++stats.pfHitsLate;
-                stats.pfLateCycles += l2_res.latePenalty;
-            } else {
-                ++stats.pfHitsTimely;
-            }
-        }
-        if (!no_alloc) {
-            auto ev = l1Cache.fillAtWay(addr, l1_victim, false,
-                                        type == AccessType::Store);
-            if (ev.valid && ev.dirty)
-                writebackToL2Fast(ev.lineAddr, now);
-            if (!txn.l3Writebacks.empty())
-                flushL3Writebacks(now);
-        }
-        return result;
-    }
-
-    const Cycles below = fetchThroughL3Fast(addr, now);
-    result.latency += below;
-    result.level = below > config.l3Latency ? MemLevel::Dram : MemLevel::L3;
-
-    if (!no_alloc) {
-        // The demand L3 fetch above was the transaction's last inline
-        // L3 operation; from here every L3 write-back the victim chain
-        // produces is queued, then retired FIFO — one coalesced batch
-        // in place of the historical probe/fill ping-pong, same
-        // operation order.
-        auto l2_ev = l2Cache.fillKnownAbsent(addr);
-        if (l2_ev.valid && l2_ev.dirty)
-            txn.l3Writebacks.push_back(l2_ev.lineAddr);
-        auto l1_ev = l1Cache.fillAtWay(addr, l1_victim, false,
-                                       type == AccessType::Store);
-        if (l1_ev.valid && l1_ev.dirty)
-            writebackToL2Fast(l1_ev.lineAddr, now);
-        if (!txn.l3Writebacks.empty())
-            flushL3Writebacks(now);
-    }
     return result;
 }
 

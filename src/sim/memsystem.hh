@@ -4,20 +4,26 @@
  * an L2-attached prefetcher, write-through (MTRR-style) ranges, and
  * selective-caching (no-allocate) ranges.
  *
- * Hot path: access() is inline. With no fault injector, trace session
- * or host profiler attached it resolves an L1 hit with one TLB probe
- * (AddrMap::translate) plus one inline lookup (Cache::lookupFast) and
- * no out-of-line call, and routes a proven L1 miss into a batched miss
- * transaction (accessMissFast): inline L2/L3 lookups, fused
- * known-absent fills, and an L2->L3 victim write-back chain collected
- * into a per-miss scratch record and retired through a coalesced
- * write-back queue once the fills are done, instead of interleaving a
- * probe/fill ping-pong per victim. Everything else falls through to
- * the full hierarchy walk in accessHooked(). The fast paths are
- * observationally equivalent: every stats counter, trace event and
- * latency they produce is bit-identical to the slow path
- * (setFastPath(false) forces the historical code for A/B runs and
- * equivalence tests).
+ * Every access takes one walk. access() is inline: one TLB probe
+ * (AddrMap::translate) and one inline L1 lookup (Cache::access) resolve
+ * an L1 hit with no out-of-line call. An L1 miss continues in one miss
+ * transaction (missTransaction): the L2 lookup, prefetch issue, the
+ * coherence snoop, the L3 fetch and the fills, each fill retiring
+ * through the victim way its lookup's scan already chose, and each
+ * dirty victim written back down the hierarchy as it is displaced.
+ *
+ * The observers are null-checked branches at the points of the walk
+ * where they act, so with none attached the walk is the production one
+ * and with any attached it is still the same walk:
+ *  - faults: cellFault() at the access boundary, memPenalty() added to
+ *    the result, prefetchBlackout() before prefetch issue;
+ *  - uncore: storeUpgrade() before the L1 lookup, resolveMiss() before
+ *    the demand fetch, xbarCost()/dramRead() on L3 fetches, dramWrite()
+ *    on every dirty L3 victim, markShared() after shared fills;
+ *  - trace: pcAccess() once the access is resolved;
+ *  - host profiler: translate, cache, prefetch and fill host time.
+ * tests/hooked_walk_test.cc pins the stats dumps of hooked runs to
+ * golden digests.
  */
 
 #ifndef TARTAN_SIM_MEMSYSTEM_HH
@@ -29,17 +35,17 @@
 
 #include "sim/addrmap.hh"
 #include "sim/cache.hh"
+#include "sim/fault.hh"
+#include "sim/hostprof.hh"
 #include "sim/prefetcher.hh"
 #include "sim/types.hh"
 
 namespace tartan::sim {
 
 class CaptureSession;
-class FaultInjector;
 class StatsGroup;
 class TraceSession;
 class Uncore;
-struct HostProfiler;
 
 /** Configuration of one core's memory path. */
 struct MemPathParams {
@@ -89,12 +95,9 @@ class MemPath
     MemPath(const MemPathParams &params, Cache *shared_l3);
 
     /**
-     * Perform a demand access and return the observed latency.
-     *
-     * Inline fast path: translate through the AddrMap TLB, then resolve
-     * an L1 memo hit in place. Falls back to the full hierarchy walk
-     * whenever the memo misses, a WT range might match a store, or an
-     * observer (faults / trace / host profiler) is attached.
+     * Perform a demand access and return the observed latency:
+     * translate through the AddrMap TLB (when deterministic addressing
+     * is on), then walk the hierarchy.
      *
      * @param now current core cycle (prefetch timeliness)
      */
@@ -102,32 +105,11 @@ class MemPath
     access(Addr addr, AccessType type, std::uint32_t size, PcId pc,
            Cycles now)
     {
-        if (hostProf)
-            return accessProfiled(addr, type, size, pc, now);
+        const std::uint64_t t0 = hostProf ? HostProfiler::now() : 0;
         const Addr sim = addrMap ? addrMap->translate(addr) : addr;
-        if (fastPath && !faults && !trace && !uncoreHook &&
-            (type != AccessType::Store || wtRanges.empty() ||
-             !inRange(wtRanges, addr))) {
-            std::uint32_t l1_victim = 0;
-            const auto looked =
-                l1Cache.lookupForFill(sim, type, size, true, &l1_victim);
-            if (looked == Cache::FastLookup::Hit) {
-                AccessResult result;
-                result.latency = config.l1.latency;
-                result.level = MemLevel::L1;
-                return result;
-            }
-            if (looked == Cache::FastLookup::Miss) {
-                // The inline lookup already proved and counted the L1
-                // miss — and selected the fill victim; continue with
-                // the walk below it.
-                AccessResult result;
-                result.latency = config.l1.latency;
-                return accessMissFast(addr, sim, type, size, pc, now,
-                                      result, l1_victim);
-            }
-        }
-        return accessHooked(addr, sim, type, size, pc, now);
+        if (hostProf)
+            hostProf->translateNs += HostProfiler::now() - t0;
+        return accessLine(addr, sim, type, size, pc, now);
     }
 
     /**
@@ -138,7 +120,8 @@ class MemPath
      * grains, so it no longer depends on the host base's offset within
      * a line. Spans that map linearly through a single arena segment
      * hoist the segment lookup out of the per-line loop
-     * (AddrMap::linearSpan) and walk host lines directly.
+     * (AddrMap::linearSpan) and walk host lines directly. Each line
+     * takes the same walk as access().
      */
     AccessResult accessRange(Addr base, std::uint32_t bytes, PcId pc,
                              Cycles now);
@@ -187,11 +170,10 @@ class MemPath
 
     /**
      * Attach this path to a shared uncore as core @p core_id (must
-     * match the id the uncore's attach() returned for this path). A
-     * coherent path takes the hooked hierarchy walk on every access —
-     * store upgrades, miss snoops, crossbar hops and banked DRAM
-     * timing all resolve through the uncore — while a path with no
-     * uncore runs the exact pre-multi-core code, fast paths included.
+     * match the id the uncore's attach() returned for this path). On a
+     * coherent path store upgrades, miss snoops, crossbar hops and
+     * banked DRAM timing all resolve through the uncore; a path with no
+     * uncore charges the flat L3 and DRAM latencies.
      */
     void
     attachUncore(Uncore *uncore, std::uint32_t core_id)
@@ -206,33 +188,10 @@ class MemPath
     /**
      * Attach (or detach, with nullptr) a host-time profiler: every
      * demand access is timed per pipeline layer (translate / cache /
-     * prefetch). Purely observational on the modeled state; profiled
-     * accesses take the full lookup path, so the breakdown reflects
-     * the unmemoized pipeline.
+     * prefetch / fill) as it takes the production walk. Purely
+     * observational on the modeled state.
      */
     void setHostProfiler(HostProfiler *prof) { hostProf = prof; }
-
-    /**
-     * Toggle the whole fast-path stack (default on): the inline
-     * L1/L2/L3 lookups, the cache-side MRU memos, the merged miss walk
-     * (accessMissFast), the AddrMap single-probe TLB and the
-     * accessRange segment hoist. Off restores the historical code paths
-     * bit-for-bit; behaviour is identical either way, so this exists
-     * purely for self-benchmarking and equivalence tests. The shared L3
-     * is toggled too, so configure every path of a system identically.
-     */
-    void
-    setFastPath(bool on)
-    {
-        fastPath = on;
-        l1Cache.setFastLookup(on);
-        l2Cache.setFastLookup(on);
-        l3Cache->setFastLookup(on);
-        if (addrMap)
-            addrMap->setFastPath(on);
-        if (pf)
-            pf->setFastMode(on);
-    }
 
     /** Declare a write-through (MTRR WT) range [base, base+bytes). */
     void addWriteThroughRange(Addr base, std::size_t bytes);
@@ -283,65 +242,77 @@ class MemPath
         return false;
     }
 
-    /** access() after translation: @p host drives the range checks,
-     *  @p sim is what the caches see. */
-    AccessResult accessHooked(Addr host, Addr sim, AccessType type,
-                              std::uint32_t size, PcId pc, Cycles now);
-    AccessResult accessImpl(Addr host, Addr sim, AccessType type,
-                            std::uint32_t size, PcId pc, Cycles now);
-    /** accessImpl after an L1 miss: L2 lookup, prefetch, fills.
-     *  @p result carries the latency accumulated so far. */
-    AccessResult accessBelowL1(Addr host, Addr sim, AccessType type,
-                               std::uint32_t size, PcId pc, Cycles now,
-                               AccessResult result);
     /**
-     * Fast-path twin of accessBelowL1, reachable only after the inline
-     * L1 lookup proved (and counted) the miss with no fault injector,
-     * trace session or host profiler attached. Runs the miss as one
-     * batched transaction over the `txn` scratch record: inline L2/L3
-     * lookups, fused known-absent fills, and every L3 write-back the
-     * demand fill chain produces coalesced into txn.l3Writebacks and
-     * retired FIFO by flushL3Writebacks once the fills are done. The
-     * queue holds only write-backs ordered *after* every inline L3
-     * operation of the transaction (the prefetch fetches and the
-     * demand fetch), so the L3 observes exactly the historical
-     * per-cache operation sequence. Observable state is bit-identical
-     * to accessBelowL1.
-     *
-     * @param l1_victim the L1 victim way the caller's lookupForFill
-     *        miss selected; still current at the L1 fill because the
-     *        transaction touches only the L2/L3 before it.
+     * The walk of one line after translation: @p host drives the range
+     * checks, @p sim is what the caches see. Inline up to the L1
+     * lookup, so an L1 hit with no observer attached costs no
+     * out-of-line call.
      */
-    AccessResult accessMissFast(Addr host, Addr sim, AccessType type,
-                                std::uint32_t size, PcId pc, Cycles now,
-                                AccessResult result,
-                                std::uint32_t l1_victim);
-    /** fetchThroughL3 with an inline L3 lookup and known-absent fill. */
-    Cycles fetchThroughL3Fast(Addr addr, Cycles now);
-    /** issuePrefetches with known-absent L2 fills (fast path only). */
-    void issuePrefetchesFast(const std::vector<Addr> &targets,
-                             Cycles now);
-    /** Retire txn.l3Writebacks in FIFO order via the fused L3 path. */
-    void flushL3Writebacks(Cycles now);
-    /** access() with per-layer host timing (hostProf attached). */
-    AccessResult accessProfiled(Addr addr, AccessType type,
-                                std::uint32_t size, PcId pc, Cycles now);
-    void writebackToL2(Addr line_addr, Cycles now);
-    void writebackToL3(Addr line_addr, Cycles now);
+    AccessResult
+    accessLine(Addr host, Addr sim, AccessType type, std::uint32_t size,
+               PcId pc, Cycles now)
+    {
+        // Cell-layer faults first: an injected crash/hang models the
+        // whole run dying *at* this access, so no further state of
+        // this access may be mutated when it fires.
+        if (faults)
+            faults->cellFault();
+        HostProfiler::Walk walk{};
+        if (hostProf)
+            walk = hostProf->beginWalk();
+        AccessResult result;
+        // Write-through ranges are declared (and matched) in host
+        // addresses.
+        if (type == AccessType::Store && !wtRanges.empty() &&
+            inRange(wtRanges, host)) {
+            result = writeThroughStore(sim, size, now);
+        } else {
+            result.latency = config.l1.latency;
+            if (uncoreHook && type == AccessType::Store)
+                upgradeShared(sim, result);
+            std::uint32_t l1_victim = 0;
+            if (l1Cache.access(sim, type, size, now, &l1_victim).hit)
+                result.level = MemLevel::L1;
+            else
+                result = missTransaction(host, sim, type, size, pc, now,
+                                         result, l1_victim);
+        }
+        if (faults || trace)
+            observe(result, pc, type);
+        if (hostProf)
+            hostProf->endWalk(walk);
+        return result;
+    }
+
     /**
-     * writebackToL2 with one inline lookup replacing the probe +
-     * access/fill pair (fast path only). An L3 write-back produced by
-     * the L2 victim is appended to txn.l3Writebacks instead of being
-     * performed inline; the owning miss transaction flushes the queue.
+     * Everything below a proven L1 miss, as one transaction: the L2
+     * lookup, prefetch issue, the coherence snoop, the L3 fetch and the
+     * L2/L1 fills with their write-back chains. @p result carries the
+     * latency accumulated so far; @p l1_victim is the way the L1
+     * lookup's scan chose, still current at the L1 fill because the
+     * transaction touches only the L2, the L3 and sibling hierarchies
+     * before it.
      */
-    void writebackToL2Fast(Addr line_addr, Cycles now);
-    /** writebackToL3 with one inline lookup replacing the probe +
-     *  access/fill pair (fast path only). Flushes any queued
-     *  write-backs first so the L3 operation order stays historical. */
-    void writebackToL3Fast(Addr line_addr, Cycles now);
+    AccessResult missTransaction(Addr host, Addr sim, AccessType type,
+                                 std::uint32_t size, PcId pc, Cycles now,
+                                 AccessResult result,
+                                 std::uint32_t l1_victim);
+    /** A store into a write-through range: update resident copies
+     *  without dirtying them and stream the store to memory. */
+    AccessResult writeThroughStore(Addr sim, std::uint32_t size,
+                                   Cycles now);
+    /** Acquire ownership of a line this hierarchy holds Shared before a
+     *  store dirties it (coherent paths only). */
+    void upgradeShared(Addr sim, AccessResult &result);
+    /** Charge an injected latency spike and record the access in the
+     *  trace, whichever of the two is attached. */
+    void observe(AccessResult &result, PcId pc, AccessType type);
+    /** Issue the prefetch candidates in pfTargets into the L2. */
+    void issuePrefetches(Cycles now);
     /** Fetch a line into L3 if absent; returns latency beyond L2. */
     Cycles fetchThroughL3(Addr addr, Cycles now);
-    void issuePrefetches(const std::vector<Addr> &targets, Cycles now);
+    void writebackToL2(Addr line_addr, Cycles now);
+    void writebackToL3(Addr line_addr, Cycles now);
     /** Largest beyond-L2 latency an L3 hit can cost (level split). */
     Cycles l3HitCeiling() const;
 
@@ -355,25 +326,13 @@ class MemPath
     CaptureSession *capture = nullptr; //!< capture hook (not owned)
     Uncore *uncoreHook = nullptr;  //!< shared uncore (not owned)
     std::uint32_t pathId = 0;      //!< this path's core id at the uncore
-    bool fastPath = true;  //!< inline memo + TLB + span hoist enabled
     std::unique_ptr<Prefetcher> pf;
     std::unique_ptr<AddrMap> addrMap;  //!< null = host addresses pass through
     std::vector<Range> wtRanges;
     std::vector<Range> noAllocRanges;
-    std::vector<Addr> pfQueue;  //!< reused scratch buffer (slow path)
-
-    /**
-     * Per-miss transaction scratch of the fast path: the prefetch
-     * candidates the L2 observation produced and the L3 write-backs
-     * coalesced out of the demand fill chain. Member state (not locals)
-     * so the buffers' capacity persists across misses and the hot path
-     * stays allocation-free after warm-up.
-     */
-    struct MissTxn {
-        std::vector<Addr> pfTargets;     //!< prefetcher proposals
-        std::vector<Addr> l3Writebacks;  //!< coalesced write-back queue
-    };
-    MissTxn txn;
+    /** Prefetch candidates of the current miss (reused scratch, so
+     *  the walk stays allocation-free after warm-up). */
+    std::vector<Addr> pfTargets;
     bool drainAccounted = false;  //!< drainDirty already ran (idempotence)
 };
 

@@ -161,6 +161,12 @@ fcpFuncName(FcpReplacement::Func func)
 
 } // namespace
 
+System::~System()
+{
+    if (cfg.trace)
+        cfg.trace->detachProbes();
+}
+
 void
 System::registerStats(StatsRegistry &registry)
 {

@@ -113,6 +113,8 @@ class System
 {
   public:
     explicit System(const SysConfig &config);
+    /** Detaches the trace session's probes (they point into this). */
+    ~System();
 
     /** Core @p i (default: core 0, the historical single core). */
     Core &core(std::size_t i = 0) { return *cores[i]; }

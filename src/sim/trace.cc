@@ -213,6 +213,19 @@ TraceSession::setInstructionProbe(const std::uint64_t *counter)
 }
 
 void
+TraceSession::detachProbes()
+{
+    closeOpen(lastCycle);
+    // closeOpen's last sample left each probe's current value in its
+    // snapshot; pointing the probe at that snapshot makes any later
+    // sample see no change.
+    for (std::size_t i = 0; i < probeCount; ++i)
+        probes[i].counter = &probes[i].last;
+    if (instrProbe)
+        instrProbe = &instrLast;
+}
+
+void
 TraceSession::sample(Cycles now)
 {
     if (now <= epochStart)

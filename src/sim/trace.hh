@@ -201,6 +201,15 @@ class TraceSession
     void addProbe(const std::string &name, const std::uint64_t *counter);
     /** The probe whose per-epoch delta is the IPC numerator. */
     void setInstructionProbe(const std::uint64_t *counter);
+    /**
+     * Close the open kernel span, phases and partial epoch at the last
+     * observed cycle, then freeze every probe at its final value. The
+     * probed counters belong to the traced System, which calls this
+     * from its destructor, so a session may outlive the machine it
+     * traced (bench cells finalize their session after the run) without
+     * reading freed counters.
+     */
+    void detachProbes();
     /** Advance simulated time; samples an epoch when one elapses. */
     void
     tick(Cycles now)

@@ -96,19 +96,11 @@ struct WorkloadOptions {
     /**
      * Host-side per-layer profiler for the access pipeline (not owned;
      * null = off). Attached to the MemPath by Machine; used by
-     * bench/selfbench for the translate/cache/prefetch breakdown.
+     * bench/selfbench for the translate/cache/prefetch/fill breakdown.
      * Observationally inert: the modeled stats are bit-identical with
      * and without it.
      */
     tartan::sim::HostProfiler *hostProf = nullptr;
-
-    /**
-     * Use the inlined hot path (AddrMap TLB single probe, L1 MRU memo,
-     * accessRange segment hoist). Off forces the historical slow path;
-     * results are bit-identical either way. Exists for selfbench A/B
-     * runs and equivalence tests.
-     */
-    bool fastAccessPath = true;
 
     /**
      * Capture session recording this run's Core-boundary op stream for
@@ -156,8 +148,8 @@ class Machine
                      tartan::sim::FaultInjector *faults = nullptr);
 
     /**
-     * Convenience: wires the trace, fault and host-profiler hooks and
-     * the fast-path toggle from @p opt.
+     * Convenience: wires the trace, fault, host-profiler and capture
+     * hooks from @p opt.
      */
     Machine(const MachineSpec &spec, const WorkloadOptions &opt);
 

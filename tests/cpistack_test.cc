@@ -14,6 +14,7 @@
 
 #include "sim/cpistack.hh"
 #include "sim/fault.hh"
+#include "sim/hostprof.hh"
 #include "sim/report.hh"
 #include "sim/stats.hh"
 #include "sim/system.hh"
@@ -261,14 +262,18 @@ TEST(CpiWorkload, ReservedCategoriesStayStructurallyZero)
     }
 }
 
-TEST(CpiWorkload, FastAndSlowPathsChargeIdenticalCategories)
+TEST(CpiWorkload, ProfiledAndPlainRunsChargeIdenticalCategories)
 {
-    WorkloadOptions fast = smallRun();
-    WorkloadOptions slow = smallRun();
-    slow.fastAccessPath = false;
+    // The host profiler times the production walk through null-checked
+    // branches; attaching it must not move a single simulated cycle
+    // between categories.
+    HostProfiler prof;
+    WorkloadOptions profiled = smallRun();
+    profiled.hostProf = &prof;
 
-    const RunResult a = runDeliBot(MachineSpec::baseline(), fast);
-    const RunResult b = runDeliBot(MachineSpec::baseline(), slow);
+    const RunResult a = runDeliBot(MachineSpec::baseline(), smallRun());
+    const RunResult b = runDeliBot(MachineSpec::baseline(), profiled);
+    EXPECT_GT(prof.accesses, 0u);
     ASSERT_EQ(a.kernels.size(), b.kernels.size());
     for (std::size_t i = 0; i < a.kernels.size(); ++i) {
         EXPECT_EQ(a.kernels[i].name, b.kernels[i].name);

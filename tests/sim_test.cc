@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "sim/addrmap.hh"
 #include "sim/arena.hh"
@@ -716,20 +719,96 @@ TEST(AddrMap, SegmentRegistrationWinsOverStaleFallbackCaching)
     EXPECT_EQ(map.translate(base + 100), after + 100);
 }
 
-TEST(AddrMap, FastAndSlowProbeOrdersTranslateIdentically)
+/**
+ * AddrMap as specified: segments are scanned in registration order and
+ * the first one containing the address maps it linearly onto its
+ * simulated base (1 << 40 onwards, keeping the host base's offset
+ * within a 2 MB tile, each next base 2 MB-aligned past the previous
+ * span plus a guard tile); any other address maps through a first-touch
+ * table of 16-byte grains (1 << 44 onwards, consecutive slots).
+ */
+class ReferenceAddrMap
 {
-    // The single-probe TLB fast path and the historical probe order
-    // (segment scan first) are the same translation function.
-    AddrMap fast, slow;
-    slow.setFastPath(false);
-    const Addr seg = 0x7f00'0000'0000ull;
-    fast.addSegment(seg, 1 << 16);
-    slow.addSegment(seg, 1 << 16);
-    const Addr heap = 0x5600'1234'0000ull;
-    const Addr offsets[] = {0, 8, 16, 64, 8, 0, 4096, 72, 64, 1000};
-    for (Addr off : offsets) {
-        EXPECT_EQ(fast.translate(seg + off), slow.translate(seg + off));
-        EXPECT_EQ(fast.translate(heap + off), slow.translate(heap + off));
+  public:
+    void
+    addSegment(Addr base, std::size_t bytes)
+    {
+        if (!bytes)
+            return;
+        constexpr Addr kTile = Addr(1) << 21;
+        const Addr offset = base % kTile;
+        segments.push_back({base, base + bytes, nextSegment + offset});
+        nextSegment += (offset + bytes + 2 * kTile - 1) / kTile * kTile;
+    }
+
+    Addr
+    translate(Addr host)
+    {
+        for (const auto &[begin, end, sim] : segments)
+            if (host >= begin && host < end)
+                return sim + (host - begin);
+        auto [it, fresh] = grains.try_emplace(host / 16, nextGrain);
+        nextGrain += fresh;
+        return it->second * 16 + host % 16;
+    }
+
+  private:
+    struct Segment {
+        Addr begin, end, sim;
+    };
+    std::vector<Segment> segments;
+    Addr nextSegment = Addr(1) << 40;
+    std::map<Addr, Addr> grains;
+    Addr nextGrain = (Addr(1) << 44) / 16;
+};
+
+TEST(AddrMap, MatchesReferenceTranslatorOnRandomStream)
+{
+    // Segments registered mid-stream, with sizes that are not a
+    // multiple of 16 (so a grain can straddle a segment boundary) and
+    // overlapping one another, interleaved with translations that
+    // revisit addresses (TLB hits), straddle boundaries and touch the
+    // fallback heap. Every translation is compared against the
+    // reference, and every span the hoist accepts must translate
+    // linearly by its delta.
+    std::mt19937_64 rng(2024);
+    for (int round = 0; round < 4; ++round) {
+        AddrMap map;
+        ReferenceAddrMap ref;
+        std::vector<std::pair<Addr, Addr>> regions;  // [base, base+span)
+        const Addr heap = 0x5600'0000'0000ull + round * 0x1000;
+        regions.emplace_back(heap, 1 << 16);
+        for (int step = 0; step < 40000; ++step) {
+            const std::uint64_t r = rng();
+            if (r % 1000 < 3 || regions.size() == 1) {
+                // New segment: fresh, or overlapping an earlier one.
+                Addr base = 0x7f00'0000'0000ull +
+                            (rng() % 64) * 0x10'0000ull + rng() % 4096;
+                if (regions.size() > 1 && rng() % 3 == 0)
+                    base = regions.back().first + rng() % 8192;
+                const std::size_t bytes = 1 + rng() % 40000;
+                map.addSegment(base, bytes);
+                ref.addSegment(base, bytes);
+                regions.emplace_back(base, bytes);
+                continue;
+            }
+            const auto &[base, span] = regions[rng() % regions.size()];
+            // Near a region edge half the time: boundary grains.
+            const Addr edge = span > 48 ? span - 48 : 0;
+            const Addr off = (r >> 20) % 2 ? rng() % (span + 64)
+                                           : edge + rng() % 96;
+            const Addr host = base + off;
+            ASSERT_EQ(map.translate(host), ref.translate(host))
+                << "round " << round << " step " << step;
+            Addr delta = 0;
+            const std::size_t len = 1 + rng() % 512;
+            if (map.linearSpan(host, len, &delta)) {
+                for (Addr a = host; a < host + len; a += 1 + rng() % 64)
+                    ASSERT_EQ(ref.translate(a), a + delta)
+                        << "round " << round << " step " << step;
+            }
+        }
+        EXPECT_EQ(map.segmentCount(), regions.size() - 1);
     }
 }
 
