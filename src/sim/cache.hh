@@ -162,7 +162,7 @@ class Cache
      *        lookups count misses; write-back and write-through update
      *        lookups pass false (a line absent there is never a miss).
      */
-    LookupResult
+    [[gnu::always_inline]] LookupResult
     access(Addr addr, AccessType type, std::uint32_t size, Cycles now = 0,
            std::uint32_t *victim_way = nullptr, bool count_miss = true)
     {

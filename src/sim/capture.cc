@@ -1,6 +1,7 @@
 /**
  * @file
- * Capture file I/O: header framing, CRC validation, atomic save.
+ * Capture file I/O: header framing, CRC validation, atomic save, and
+ * the aux-cursor walk that validates a record stream.
  */
 
 #include "sim/capture.hh"
@@ -19,7 +20,8 @@ namespace {
 struct CaptureHeader {
     char magic[8];            //!< "TARTANC\0"
     std::uint32_t version;    //!< kCaptureFormatVersion
-    std::uint32_t bodyCrc;    //!< CRC-32 of records + aux bytes
+    std::uint32_t crc;        //!< CRC-32 of this header (crc = 0),
+                              //!< then the records, then the aux bytes
     std::uint64_t configHash; //!< capture-cell content hash
     std::uint64_t seed;       //!< workload seed
     std::uint64_t recordCount;
@@ -38,12 +40,13 @@ setError(std::string *err, const std::string &message)
         *err = message;
 }
 
-/** CRC-32 of the body: the record bytes chained with the aux bytes. */
+/** The file CRC: @p hdr with its CRC field zeroed, records, aux. */
 std::uint32_t
-bodyCrc(const CaptureTrace &trace)
+fileCrc(CaptureHeader hdr, const CaptureTrace &trace)
 {
-    const std::uint32_t c =
-        crc32Update(0, trace.records.data(),
+    hdr.crc = 0;
+    std::uint32_t c = crc32Update(0, &hdr, sizeof(hdr));
+    c = crc32Update(c, trace.records.data(),
                     trace.records.size() * sizeof(CapRecord));
     return crc32Update(c, trace.aux.data(), trace.aux.size());
 }
@@ -53,6 +56,9 @@ bodyCrc(const CaptureTrace &trace)
 bool
 CaptureTrace::validate(std::string *err) const
 {
+    // The aux stream is read in record order: walk the cursor exactly as
+    // replay advances it, so no record can read past the stream's end.
+    std::uint64_t cursor = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
         const CapRecord &r = records[i];
         if (r.op == 0 || r.op >= std::uint8_t(CapOp::NumOps)) {
@@ -60,27 +66,17 @@ CaptureTrace::validate(std::string *err) const
                               ": unknown op tag " + std::to_string(r.op));
             return false;
         }
-        std::uint64_t need = 0;
-        switch (CapOp(r.op)) {
-          case CapOp::RegisterKernel:
-          case CapOp::Metric:
-          case CapOp::RobotName:
-            need = r.d + r.a32;
-            break;
-          case CapOp::DeviceLoadLanes:
-          case CapOp::VecLoadLanes:
-          case CapOp::NpuInfer:
-          case CapOp::Discount:
-            need = r.d + 8 * std::uint64_t(r.a32);
-            break;
-          default:
-            break;
-        }
-        if (need > aux.size()) {
+        cursor += capAuxBytes(r);
+        if (cursor > aux.size()) {
             setError(err, "record " + std::to_string(i) +
-                              ": aux reference beyond the aux stream");
+                              ": aux cursor overruns the aux stream");
             return false;
         }
+    }
+    if (cursor != aux.size()) {
+        setError(err, std::to_string(aux.size() - cursor) +
+                          " aux bytes owned by no record");
+        return false;
     }
     return true;
 }
@@ -91,11 +87,11 @@ CaptureTrace::save(const std::string &path, std::string *err) const
     CaptureHeader hdr{};
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
     hdr.version = kCaptureFormatVersion;
-    hdr.bodyCrc = bodyCrc(*this);
     hdr.configHash = configHash;
     hdr.seed = seed;
     hdr.recordCount = records.size();
     hdr.auxBytes = aux.size();
+    hdr.crc = fileCrc(hdr, *this);
 
     // Write to a temp sibling and rename into place: the content-
     // addressed name must never point at a torn file.
@@ -202,8 +198,8 @@ CaptureTrace::load(const std::string &path, CaptureTrace &out,
                           " aux bytes)");
         return false;
     }
-    if (bodyCrc(trace) != hdr.bodyCrc) {
-        setError(err, "body CRC mismatch (bit rot or torn write)");
+    if (fileCrc(hdr, trace) != hdr.crc) {
+        setError(err, "CRC mismatch (bit rot or torn write)");
         return false;
     }
     if (!trace.validate(err))

@@ -13,8 +13,8 @@
  * re-issues it against an arbitrary timing configuration without
  * touching robot code: one robot execution, N machine sweeps.
  *
- * What is captured (all POD, 32 bytes per record, lane addresses and
- * strings in a side "aux" byte stream):
+ * What is captured (a 16-byte POD record per op, lane addresses,
+ * strings and rare wide arguments in a side "aux" byte stream):
  *  - every Core op (exec / stall / load / store / vector and device
  *    loads) with its *host* addresses and static arguments — never its
  *    latencies or timestamps, which replay recomputes;
@@ -30,13 +30,37 @@
  *  - the run's functional outputs (robot name, quality metrics), which
  *    replay cannot recompute and which are timing-independent.
  *
+ * Record layout (format v2): a record is {op, a8, a16, a32, b} — a tag,
+ * three small scalars and one 64-bit argument (see CapOp for each op's
+ * field map). Records carry no aux offsets: the aux stream is consumed
+ * strictly in record order, so a reader keeps an implicit *aux cursor*
+ * and advances it by the bytes each record owns (capAuxBytes()). A
+ * 16-bit field holding kCapWide16, or the high half of a packed
+ * (pc | cycles << 32) holding kCapWide32, means the full value follows
+ * in the aux stream as a u64; that covers the rare wide sizes and
+ * cycle counts without widening every record.
+ *
+ * Fused records: a memory op immediately followed by its compute op —
+ * Load then Exec, Store then Exec, VecLoadContiguous then VecOp,
+ * VecLoadLanes then VecOp — is stored as one record when the compute
+ * op's arguments fit the head record's spare bits. The session rewrites
+ * the last record in place, never across a suppression boundary, and
+ * replay expands the fused record into exactly the two original Core
+ * calls. Only memory-then-compute pairs fuse: replayFleet picks the
+ * min-cycle core *before* each step, and a compute op touches no shared
+ * state, so folding it into the memory op before it leaves every
+ * cross-core access in the same global order. Folding a compute op into
+ * the memory op *after* it would let that access jump ahead of other
+ * cores' accesses issued in between.
+ *
  * File format (`capture_<confighash16>_<seed>.tcap`): a fixed 64-byte
- * header (magic, format version, CRC-32 of the records then the aux
- * bytes via checksum.hh, config hash, seed, record/aux counts) followed
- * by the record array and the aux bytes. Corruption policy mirrors the
- * run journal: a truncated tail, a bit-flipped body, or a
- * foreign-version header make the file invalid as a whole and force a
- * re-capture — a capture is a cache entry, never a source of truth.
+ * header (magic, format version, CRC-32 via checksum.hh of the header
+ * with its CRC field zeroed then the records then the aux bytes,
+ * config hash, seed, record/aux counts) followed by the record array
+ * and the aux bytes. Corruption policy mirrors the run journal: a
+ * truncated tail, a bit flip anywhere in the file, or a foreign-version
+ * header (v1 files included) make the file invalid as a whole and force
+ * a re-capture — a capture is a cache entry, never a source of truth.
  *
  * Record buffers use the MmapAlloc substrate from sim/trace: capture
  * runs read host pointers as simulated addresses, so buffers growing
@@ -65,26 +89,39 @@
 namespace tartan::sim {
 
 /** Bumped whenever the record layout or encoding changes. */
-constexpr std::uint32_t kCaptureFormatVersion = 1;
+constexpr std::uint32_t kCaptureFormatVersion = 2;
 
-/** Operation tags of the capture stream. */
+/** A 16-bit field holding this value: the full value is in the aux. */
+constexpr std::uint16_t kCapWide16 = 0xffff;
+/** A packed cycle count's high half holding this: the same for u64s. */
+constexpr std::uint32_t kCapWide32 = 0xffffffff;
+
+/**
+ * Operation tags of the capture stream, with each op's field map.
+ * "aux:" lists what the record owns in the aux stream, in cursor order;
+ * "(wide)" marks a u64 present only when its field holds kCapWide16 /
+ * kCapWide32. "b=pc|x" packs b = pc | x << 32.
+ */
 enum class CapOp : std::uint8_t {
-    RegisterKernel = 1, //!< a32=name len, d=aux off
+    RegisterKernel = 1, //!< a32=name len; aux: name
     SetKernel,          //!< a32=kernel id
     Exec,               //!< b=ops, a8=OpClass
     Stall,              //!< b=cycles, a8=CpiCat
     CountInstructions,  //!< b=n
-    Load,               //!< b=host addr, c=pc, a8=MemDep, a32=size
-    Store,              //!< b=host addr, c=pc, a32=size
+    Load,               //!< b=host addr, a32=pc, a8=MemDep, a16=size;
+                        //!< aux: size (wide)
+    Store,              //!< b=host addr, a32=pc, a16=size; aux: size (wide)
     VecOp,              //!< b=n
-    DeviceLoadLanes,    //!< a32=lanes, d=aux off, b=pc, c=device cycles,
-                        //!< a8=CpiCat
-    VecLoadLanes,       //!< a32=lanes, d=aux off, b=pc, c=ag latency,
-                        //!< a16=lane size, a8=CpiCat
-    VecLoadContiguous,  //!< b=host base, c=pc, a32=bytes
-    MapSegment,         //!< b=host base, c=bytes
-    WriteThroughRange,  //!< b=host base, c=bytes
-    NoAllocateRange,    //!< b=host base, c=bytes
+    DeviceLoadLanes,    //!< a32=lanes, b=pc|device cycles, a8=CpiCat;
+                        //!< aux: lanes, cycles (wide)
+    VecLoadLanes,       //!< a32=lanes, b=pc|ag latency, a16=lane size,
+                        //!< a8=CpiCat; aux: lanes, latency (wide),
+                        //!< lane size (wide)
+    VecLoadContiguous,  //!< b=host base, a32=pc, a16=bytes;
+                        //!< aux: bytes (wide)
+    MapSegment,         //!< b=host base; aux: bytes
+    WriteThroughRange,  //!< b=host base; aux: bytes
+    NoAllocateRange,    //!< b=host base; aux: bytes
     StageBegin,         //!< a32=threads
     ItemBegin,          //!< (no payload)
     ItemEnd,            //!< (no payload)
@@ -92,29 +129,84 @@ enum class CapOp : std::uint8_t {
     SerialBegin,        //!< (no payload)
     SerialEnd,          //!< (no payload)
     NpuConfigure,       //!< b=parameter count
-    NpuInfer,           //!< b=input floats, c=output floats,
-                        //!< a32=layer count, d=aux off (u64 widths)
-    Metric,             //!< a32=name len, d=aux off, b=double bits
-    RobotName,          //!< a32=name len, d=aux off
+    NpuInfer,           //!< b=input floats, a32=layer count;
+                        //!< aux: output floats, u64 widths
+    Metric,             //!< a32=name len, b=double bits; aux: name
+    RobotName,          //!< a32=name len; aux: name
     OverlapBegin,       //!< (no payload)
     OverlapEnd,         //!< (no payload)
     Discount,           //!< a8=kind (0 region, 1 kernels), b=divisor,
-                        //!< a32=kernel count, d=aux off (u64 ids)
+                        //!< a32=kernel count; aux: u64 ids
+    // Fused memory+compute pairs: the head's fields, with the compute
+    // op's arguments in the bits the head leaves free.
+    LoadExec,           //!< Load with a16=size | ops << 8,
+                        //!< a8=MemDep | OpClass << 4; then Exec
+    StoreExec,          //!< Store with a16=size | ops << 8,
+                        //!< a8=OpClass << 4; then Exec
+    VecLoadContiguousVecOp, //!< VecLoadContiguous with a8=n; then VecOp
+    VecLoadLanesVecOp,  //!< VecLoadLanes with a16=lane size | n << 8;
+                        //!< aux: lanes, latency (wide); then VecOp
     NumOps
 };
 
-/** One captured operation. POD, fixed 32 bytes, zero-padded. */
+/** One captured operation. POD, fixed 16 bytes, no padding. */
 struct CapRecord {
     std::uint8_t op = 0;   //!< CapOp tag
     std::uint8_t a8 = 0;   //!< small enum argument (dep / cat / class)
-    std::uint16_t a16 = 0; //!< small scalar (lane size)
-    std::uint32_t a32 = 0; //!< medium scalar (sizes, counts, ids)
-    std::uint64_t b = 0;   //!< wide argument 1 (addresses, counts)
-    std::uint64_t c = 0;   //!< wide argument 2 (pc, byte counts)
-    std::uint64_t d = 0;   //!< aux-stream byte offset
+    std::uint16_t a16 = 0; //!< small scalar (sizes, lane size)
+    std::uint32_t a32 = 0; //!< medium scalar (pc, counts, ids)
+    std::uint64_t b = 0;   //!< wide argument (addresses, counts)
 };
 
-static_assert(sizeof(CapRecord) == 32, "capture records are 32-byte POD");
+static_assert(sizeof(CapRecord) == 16, "capture records are 16-byte POD");
+
+/** Bytes record @p r owns in the aux stream (its cursor advance). */
+constexpr std::uint64_t
+capAuxBytes(const CapRecord &r)
+{
+    const std::uint64_t wide16 = r.a16 == kCapWide16 ? 8 : 0;
+    const std::uint64_t wide32 = (r.b >> 32) == kCapWide32 ? 8 : 0;
+    switch (CapOp(r.op)) {
+      case CapOp::RegisterKernel:
+      case CapOp::Metric:
+      case CapOp::RobotName:
+        return r.a32;
+      case CapOp::Load:
+      case CapOp::Store:
+      case CapOp::VecLoadContiguous:
+        return wide16;
+      case CapOp::DeviceLoadLanes:
+      case CapOp::VecLoadLanesVecOp:
+        return 8 * std::uint64_t(r.a32) + wide32;
+      case CapOp::VecLoadLanes:
+        return 8 * std::uint64_t(r.a32) + wide32 + wide16;
+      case CapOp::MapSegment:
+      case CapOp::WriteThroughRange:
+      case CapOp::NoAllocateRange:
+        return 8;
+      case CapOp::NpuInfer:
+        return 8 + 8 * std::uint64_t(r.a32);
+      case CapOp::Discount:
+        return 8 * std::uint64_t(r.a32);
+      default:
+        return 0;
+    }
+}
+
+/** Core-boundary ops record @p r stands for: two for a fused record. */
+constexpr unsigned
+capOpCount(const CapRecord &r)
+{
+    switch (CapOp(r.op)) {
+      case CapOp::LoadExec:
+      case CapOp::StoreExec:
+      case CapOp::VecLoadContiguousVecOp:
+      case CapOp::VecLoadLanesVecOp:
+        return 2;
+      default:
+        return 1;
+    }
+}
 
 /** Vector on the mmap substrate (workload-heap neutrality). */
 template <typename T>
@@ -131,27 +223,37 @@ struct CaptureTrace {
     std::uint64_t configHash = 0; //!< capture-cell content hash
     std::uint64_t seed = 0;       //!< workload seed
     CapVec<CapRecord> records;    //!< op stream in record order
-    CapVec<std::uint8_t> aux;     //!< variable payloads (names, ids)
+    CapVec<std::uint8_t> aux;     //!< variable payloads, record order
 
-    /** A string stored at aux offset @p off with length @p len. */
+    /** @{ Aux reads at cursor @p at, which each advances past. */
     std::string_view
-    auxString(std::uint64_t off, std::uint32_t len) const
+    auxString(std::uint64_t &at, std::uint32_t len) const
     {
-        return {reinterpret_cast<const char *>(aux.data()) + off, len};
+        const std::string_view s(
+            reinterpret_cast<const char *>(aux.data()) + at, len);
+        at += len;
+        return s;
     }
 
-    /** Copy @p count u64 values stored at aux offset @p off. */
+    std::uint64_t
+    auxU64(std::uint64_t &at) const
+    {
+        std::uint64_t v = 0;
+        std::memcpy(&v, aux.data() + at, 8);
+        at += 8;
+        return v;
+    }
+
+    /** Copy @p count u64 values into @p out. */
     template <typename V>
     void
-    auxU64s(std::uint64_t off, std::uint32_t count, V &out) const
+    auxU64s(std::uint64_t &at, std::uint32_t count, V &out) const
     {
         out.resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            std::uint64_t v = 0;
-            std::memcpy(&v, aux.data() + off + 8 * std::uint64_t(i), 8);
-            out[i] = static_cast<typename V::value_type>(v);
-        }
+        for (std::uint32_t i = 0; i < count; ++i)
+            out[i] = static_cast<typename V::value_type>(auxU64(at));
     }
+    /** @} */
 
     /**
      * Write header + records + aux to @p path (atomically: a temp file
@@ -163,8 +265,9 @@ struct CaptureTrace {
     /**
      * Load and fully validate a capture file. Every failure mode —
      * unreadable file, bad magic, foreign format version, size
-     * mismatch against the header's counts (truncated tail), body CRC
-     * mismatch (bit rot), out-of-range op tags or aux offsets —
+     * mismatch against the header's counts (truncated tail), CRC
+     * mismatch (bit rot in the header or body), out-of-range op tags,
+     * an aux cursor that overruns or falls short of the aux stream —
      * returns false; @p err stays empty when the file simply does not
      * exist and describes the corruption otherwise. An invalid file is
      * never partially trusted: the caller re-captures.
@@ -172,27 +275,32 @@ struct CaptureTrace {
     static bool load(const std::string &path, CaptureTrace &out,
                      std::string *err = nullptr);
 
-    /** Structural validation of an in-memory trace (op/aux bounds). */
+    /**
+     * Structural validation of an in-memory trace: known op tags, and
+     * an aux cursor that ends exactly at the end of the aux stream.
+     */
     bool validate(std::string *err = nullptr) const;
 };
 
 /**
  * The recording half: attached to a Core (and its MemPath) for one
- * robot run, it appends one record per public-API op. Record methods
- * no-op while suppressed — the NPU model suppresses raw recording
- * around its internal Core charges and emits semantic events instead.
+ * robot run, it appends one record per public-API op, fusing a compute
+ * op into the memory op recorded just before it (see the file comment).
+ * Record methods no-op while suppressed — the NPU model suppresses raw
+ * recording around its internal Core charges and emits semantic events
+ * instead.
  */
 class CaptureSession
 {
   public:
     /**
      * Address space reserved up front for the record buffer (1 GiB,
-     * 32 Mi records). MmapAlloc pages are faulted in on first write, so
+     * 64 Mi records). MmapAlloc pages are faulted in on first write, so
      * the reservation costs no memory until records fill it, and a
      * capture that fits never regrows: no remap, no copy of the records
      * so far. Past it the buffer grows by doubling as before.
      */
-    static constexpr std::size_t kReservedRecords = std::size_t(1) << 25;
+    static constexpr std::size_t kReservedRecords = std::size_t(1) << 26;
 
     CaptureSession(std::uint64_t config_hash, std::uint64_t seed)
     {
@@ -212,7 +320,7 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::RegisterKernel);
         r.a32 = std::uint32_t(name.size());
-        r.d = auxBytes(name.data(), name.size());
+        auxBytes(name.data(), name.size());
         push(r);
     }
 
@@ -227,6 +335,18 @@ class CaptureSession
     void
     exec(std::uint64_t ops, std::uint8_t cls)
     {
+        if ((head == CapOp::Load || head == CapOp::Store) && ops <= 0xff &&
+            cls <= 0xf) {
+            CapRecord &last = data.records.back();
+            if (last.a16 <= 0xff && last.a8 <= 0xf) {
+                last.op = std::uint8_t(head == CapOp::Load ? CapOp::LoadExec
+                                                           : CapOp::StoreExec);
+                last.a16 = std::uint16_t(last.a16 | ops << 8);
+                last.a8 = std::uint8_t(last.a8 | cls << 4);
+                head = CapOp{};
+                return;
+            }
+        }
         CapRecord r = rec(CapOp::Exec);
         r.b = ops;
         r.a8 = cls;
@@ -255,10 +375,10 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::Load);
         r.b = addr;
-        r.c = pc;
+        r.a32 = pc;
         r.a8 = dep;
-        r.a32 = size;
-        push(r);
+        r.a16 = wide16(size);
+        push(r, true);
     }
 
     void
@@ -266,14 +386,29 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::Store);
         r.b = addr;
-        r.c = pc;
-        r.a32 = size;
-        push(r);
+        r.a32 = pc;
+        r.a16 = wide16(size);
+        push(r, true);
     }
 
     void
     vecOp(std::uint64_t n)
     {
+        if (head != CapOp{} && n <= 0xff) {
+            CapRecord &last = data.records.back();
+            if (head == CapOp::VecLoadContiguous && last.a16 != kCapWide16) {
+                last.op = std::uint8_t(CapOp::VecLoadContiguousVecOp);
+                last.a8 = std::uint8_t(n);
+                head = CapOp{};
+                return;
+            }
+            if (head == CapOp::VecLoadLanes && last.a16 <= 0xff) {
+                last.op = std::uint8_t(CapOp::VecLoadLanesVecOp);
+                last.a16 = std::uint16_t(last.a16 | n << 8);
+                head = CapOp{};
+                return;
+            }
+        }
         CapRecord r = rec(CapOp::VecOp);
         r.b = n;
         push(r);
@@ -285,9 +420,8 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::DeviceLoadLanes);
         r.a32 = std::uint32_t(lanes.size());
-        r.d = auxBytes(lanes.data(), lanes.size_bytes());
-        r.b = pc;
-        r.c = device_cycles;
+        auxBytes(lanes.data(), lanes.size_bytes());
+        r.b = pcCycles(pc, device_cycles);
         r.a8 = cat;
         push(r);
     }
@@ -298,12 +432,11 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::VecLoadLanes);
         r.a32 = std::uint32_t(lanes.size());
-        r.d = auxBytes(lanes.data(), lanes.size_bytes());
-        r.b = pc;
-        r.c = ag_latency;
-        r.a16 = std::uint16_t(lane_size);
+        auxBytes(lanes.data(), lanes.size_bytes());
+        r.b = pcCycles(pc, ag_latency);
+        r.a16 = wide16(lane_size);
         r.a8 = cat;
-        push(r);
+        push(r, true);
     }
 
     void
@@ -311,9 +444,9 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::VecLoadContiguous);
         r.b = base;
-        r.c = pc;
-        r.a32 = bytes;
-        push(r);
+        r.a32 = pc;
+        r.a16 = wide16(bytes);
+        push(r, true);
     }
     /** @} */
 
@@ -321,28 +454,19 @@ class CaptureSession
     void
     mapSegment(Addr base, std::uint64_t bytes)
     {
-        CapRecord r = rec(CapOp::MapSegment);
-        r.b = base;
-        r.c = bytes;
-        push(r);
+        pushRange(CapOp::MapSegment, base, bytes);
     }
 
     void
     writeThroughRange(Addr base, std::uint64_t bytes)
     {
-        CapRecord r = rec(CapOp::WriteThroughRange);
-        r.b = base;
-        r.c = bytes;
-        push(r);
+        pushRange(CapOp::WriteThroughRange, base, bytes);
     }
 
     void
     noAllocateRange(Addr base, std::uint64_t bytes)
     {
-        CapRecord r = rec(CapOp::NoAllocateRange);
-        r.b = base;
-        r.c = bytes;
-        push(r);
+        pushRange(CapOp::NoAllocateRange, base, bytes);
     }
     /** @} */
 
@@ -388,11 +512,8 @@ class CaptureSession
         r.a8 = 1;
         r.b = divisor;
         r.a32 = std::uint32_t(kernels.size());
-        r.d = data.aux.size();
-        for (std::uint32_t k : kernels) {
-            const std::uint64_t wide = k;
-            auxBytes(&wide, 8);
-        }
+        for (std::uint32_t k : kernels)
+            auxU64(k);
         push(r);
     }
     /** @} */
@@ -412,13 +533,10 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::NpuInfer);
         r.b = in_floats;
-        r.c = out_floats;
         r.a32 = std::uint32_t(layers.size());
-        r.d = data.aux.size();
-        for (std::uint32_t w : layers) {
-            const std::uint64_t wide = w;
-            auxBytes(&wide, 8);
-        }
+        auxU64(out_floats);
+        for (std::uint32_t w : layers)
+            auxU64(w);
         push(r);
     }
     /** @} */
@@ -429,7 +547,7 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::RobotName);
         r.a32 = std::uint32_t(name.size());
-        r.d = auxBytes(name.data(), name.size());
+        auxBytes(name.data(), name.size());
         push(r);
     }
 
@@ -438,15 +556,31 @@ class CaptureSession
     {
         CapRecord r = rec(CapOp::Metric);
         r.a32 = std::uint32_t(name.size());
-        r.d = auxBytes(name.data(), name.size());
+        auxBytes(name.data(), name.size());
         std::memcpy(&r.b, &value, 8);
         push(r);
     }
     /** @} */
 
-    /** Suppression: record methods no-op while the depth is nonzero. */
-    void pushSuppress() { ++suppressDepth; }
-    void popSuppress() { --suppressDepth; }
+    /**
+     * Suppression: record methods no-op while the depth is nonzero.
+     * Either edge ends a fusable pair: a compute op never fuses into a
+     * memory op recorded on the other side of a suppressed stretch.
+     */
+    void
+    pushSuppress()
+    {
+        ++suppressDepth;
+        head = CapOp{};
+    }
+
+    void
+    popSuppress()
+    {
+        --suppressDepth;
+        head = CapOp{};
+    }
+
     bool suppressed() const { return suppressDepth != 0; }
 
     const CaptureTrace &trace() const { return data; }
@@ -462,27 +596,69 @@ class CaptureSession
         return r;
     }
 
+    /**
+     * Append @p r. A @p fusion_head record (a memory op) may absorb the
+     * compute op recorded right after it; anything else ends the pair.
+     */
     void
-    push(const CapRecord &r)
+    push(const CapRecord &r, bool fusion_head = false)
     {
-        if (!suppressDepth)
-            data.records.push_back(r);
+        head = CapOp{};
+        if (suppressDepth)
+            return;
+        data.records.push_back(r);
+        if (fusion_head)
+            head = CapOp(r.op);
     }
 
-    /** Append raw bytes to the aux stream; returns their offset. */
-    std::uint64_t
+    /** An address-space registration: base in b, byte count in aux. */
+    void
+    pushRange(CapOp op, Addr base, std::uint64_t bytes)
+    {
+        CapRecord r = rec(op);
+        r.b = base;
+        auxU64(bytes);
+        push(r);
+    }
+
+    /** Append raw bytes to the aux stream (at the cursor's end). */
+    void
     auxBytes(const void *bytes, std::size_t n)
     {
         if (suppressDepth)
-            return 0;
-        const std::uint64_t off = data.aux.size();
+            return;
         const auto *p = static_cast<const std::uint8_t *>(bytes);
         data.aux.insert(data.aux.end(), p, p + n);
-        return off;
+    }
+
+    void auxU64(std::uint64_t v) { auxBytes(&v, 8); }
+
+    /** @p v as a 16-bit field, or kCapWide16 with @p v sent to aux. */
+    std::uint16_t
+    wide16(std::uint64_t v)
+    {
+        if (v < kCapWide16)
+            return std::uint16_t(v);
+        auxU64(v);
+        return kCapWide16;
+    }
+
+    /** pc | cycles << 32, or a kCapWide32 high half with cycles in aux. */
+    std::uint64_t
+    pcCycles(PcId pc, Cycles cycles)
+    {
+        std::uint64_t hi = cycles;
+        if (cycles >= kCapWide32) {
+            auxU64(cycles);
+            hi = kCapWide32;
+        }
+        return std::uint64_t(pc) | hi << 32;
     }
 
     CaptureTrace data;
     unsigned suppressDepth = 0;
+    /** The last record, while it may still absorb a compute op. */
+    CapOp head{};
 };
 
 /** RAII suppression guard (tolerates a null session). */

@@ -246,9 +246,10 @@ class MemPath
      * The walk of one line after translation: @p host drives the range
      * checks, @p sim is what the caches see. Inline up to the L1
      * lookup, so an L1 hit with no observer attached costs no
-     * out-of-line call.
+     * out-of-line call (forced: left to itself, GCC emits this and
+     * Cache::access out of line).
      */
-    AccessResult
+    [[gnu::always_inline]] AccessResult
     accessLine(Addr host, Addr sim, AccessType type, std::uint32_t size,
                PcId pc, Cycles now)
     {

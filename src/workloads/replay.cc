@@ -74,6 +74,20 @@ ReplayStream::cycles() const
     return machineRef.core(coreIdx).cycles();
 }
 
+std::uint64_t
+ReplayStream::wide16(std::uint16_t field)
+{
+    return field == tartan::sim::kCapWide16 ? traceRef.auxU64(auxAt)
+                                            : field;
+}
+
+Cycles
+ReplayStream::wideCycles(std::uint64_t packed)
+{
+    const std::uint64_t hi = packed >> 32;
+    return hi == tartan::sim::kCapWide32 ? traceRef.auxU64(auxAt) : hi;
+}
+
 void
 ReplayStream::step()
 {
@@ -84,9 +98,11 @@ ReplayStream::step()
     // The replay worker is its own campaign cell: keep its watchdog
     // beating even through stretches of non-cycle-sink records.
     tartan::sim::heartbeat();
+    // Fused records replay as the two Core calls they were recorded
+    // from, memory op first.
     switch (CapOp(r.op)) {
       case CapOp::RegisterKernel:
-        core.registerKernel(std::string(traceRef.auxString(r.d, r.a32)));
+        core.registerKernel(std::string(traceRef.auxString(auxAt, r.a32)));
         break;
       case CapOp::SetKernel:
         core.setKernel(r.a32);
@@ -101,33 +117,57 @@ ReplayStream::step()
         core.countInstructions(r.b);
         break;
       case CapOp::Load:
-        core.load(r.b, PcId(r.c), MemDep(r.a8), r.a32);
+        core.load(r.b, PcId(r.a32), MemDep(r.a8),
+                  std::uint32_t(wide16(r.a16)));
+        break;
+      case CapOp::LoadExec:
+        core.load(r.b, PcId(r.a32), MemDep(r.a8 & 0xf), r.a16 & 0xff);
+        core.exec(r.a16 >> 8, OpClass(r.a8 >> 4));
         break;
       case CapOp::Store:
-        core.store(r.b, PcId(r.c), r.a32);
+        core.store(r.b, PcId(r.a32), std::uint32_t(wide16(r.a16)));
+        break;
+      case CapOp::StoreExec:
+        core.store(r.b, PcId(r.a32), r.a16 & 0xff);
+        core.exec(r.a16 >> 8, OpClass(r.a8 >> 4));
         break;
       case CapOp::VecOp:
         core.vecOp(r.b);
         break;
       case CapOp::DeviceLoadLanes:
-        traceRef.auxU64s(r.d, r.a32, lanes);
-        core.deviceLoadLanes(lanes, PcId(r.b), r.c, CpiCat(r.a8));
+        traceRef.auxU64s(auxAt, r.a32, lanes);
+        core.deviceLoadLanes(lanes, PcId(r.b), wideCycles(r.b),
+                             CpiCat(r.a8));
         break;
-      case CapOp::VecLoadLanes:
-        traceRef.auxU64s(r.d, r.a32, lanes);
-        core.vecLoadLanes(lanes, PcId(r.b), r.c, r.a16, CpiCat(r.a8));
+      case CapOp::VecLoadLanes: {
+        traceRef.auxU64s(auxAt, r.a32, lanes);
+        const Cycles ag = wideCycles(r.b);
+        core.vecLoadLanes(lanes, PcId(r.b), ag,
+                          std::uint32_t(wide16(r.a16)), CpiCat(r.a8));
+        break;
+      }
+      case CapOp::VecLoadLanesVecOp:
+        traceRef.auxU64s(auxAt, r.a32, lanes);
+        core.vecLoadLanes(lanes, PcId(r.b), wideCycles(r.b), r.a16 & 0xff,
+                          CpiCat(r.a8));
+        core.vecOp(r.a16 >> 8);
         break;
       case CapOp::VecLoadContiguous:
-        core.vecLoadContiguous(r.b, r.a32, PcId(r.c));
+        core.vecLoadContiguous(r.b, std::uint32_t(wide16(r.a16)),
+                               PcId(r.a32));
+        break;
+      case CapOp::VecLoadContiguousVecOp:
+        core.vecLoadContiguous(r.b, r.a16, PcId(r.a32));
+        core.vecOp(r.a8);
         break;
       case CapOp::MapSegment:
-        mem.mapSegment(r.b, r.c);
+        mem.mapSegment(r.b, traceRef.auxU64(auxAt));
         break;
       case CapOp::WriteThroughRange:
-        mem.addWriteThroughRange(r.b, r.c);
+        mem.addWriteThroughRange(r.b, traceRef.auxU64(auxAt));
         break;
       case CapOp::NoAllocateRange:
-        mem.addNoAllocateRange(r.b, r.c);
+        mem.addNoAllocateRange(r.b, traceRef.auxU64(auxAt));
         break;
       case CapOp::StageBegin:
         timer.reset();
@@ -153,21 +193,22 @@ ReplayStream::step()
         if (machineRef.npu())
             machineRef.npu()->chargeConfigure(core, r.b);
         break;
-      case CapOp::NpuInfer:
-        if (machineRef.npu()) {
-            traceRef.auxU64s(r.d, r.a32, layers);
-            machineRef.npu()->chargeInfer(core, r.b, r.c, layers);
-        }
+      case CapOp::NpuInfer: {
+        const std::uint64_t out_floats = traceRef.auxU64(auxAt);
+        traceRef.auxU64s(auxAt, r.a32, layers);
+        if (machineRef.npu())
+            machineRef.npu()->chargeInfer(core, r.b, out_floats, layers);
         break;
+      }
       case CapOp::Metric: {
         double value = 0.0;
         std::memcpy(&value, &r.b, 8);
-        result.metrics[std::string(traceRef.auxString(r.d, r.a32))] =
+        result.metrics[std::string(traceRef.auxString(auxAt, r.a32))] =
             value;
         break;
       }
       case CapOp::RobotName:
-        result.robot = std::string(traceRef.auxString(r.d, r.a32));
+        result.robot = std::string(traceRef.auxString(auxAt, r.a32));
         break;
       case CapOp::OverlapBegin:
         overlapStart = core.cycles();
@@ -176,13 +217,13 @@ ReplayStream::step()
         overlapAcc += core.cycles() - overlapStart;
         break;
       case CapOp::Discount:
+        traceRef.auxU64s(auxAt, r.a32, ids);
         if (r.b == 0)
             break;  // defensive: a zero divisor would trap
         if (r.a8 == 0) {
             discounts.push_back({0, r.b, overlapAcc, {}});
             overlapAcc = 0;
         } else {
-            traceRef.auxU64s(r.d, r.a32, ids);
             discounts.push_back({1, r.b, 0, ids});
         }
         break;

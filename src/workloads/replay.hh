@@ -83,8 +83,14 @@ class ReplayStream
     /** True once every record has been replayed. */
     bool done() const { return next >= traceRef.records.size(); }
 
-    /** Replay the next record (must not be done()). */
+    /**
+     * Replay the next record (must not be done()): one Core call, or
+     * two for a fused memory+compute record.
+     */
     void step();
+
+    /** Aux bytes consumed so far (the stream's implicit aux cursor). */
+    std::uint64_t auxCursor() const { return auxAt; }
 
     /** The bound core's current cycle count (interleave key). */
     tartan::sim::Cycles cycles() const;
@@ -96,6 +102,11 @@ class ReplayStream
     RunResult finalize();
 
   private:
+    /** A 16-bit field's value, read from the aux when it is wide. */
+    std::uint64_t wide16(std::uint16_t field);
+    /** The cycles half of a packed pc|cycles, read from aux when wide. */
+    tartan::sim::Cycles wideCycles(std::uint64_t packed);
+
     struct PendingDiscount {
         std::uint8_t kind;  //!< 0 = overlap region, 1 = kernel list
         tartan::sim::Cycles divisor;
@@ -107,6 +118,7 @@ class ReplayStream
     Machine &machineRef;
     std::size_t coreIdx;
     std::size_t next = 0;
+    std::uint64_t auxAt = 0;  //!< aux cursor: records own aux in order
     tartan::sim::StageTimer timer;
     std::uint32_t stageThreads = 0;
     tartan::sim::Cycles wall = 0;

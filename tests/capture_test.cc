@@ -12,9 +12,14 @@
  * reloaded (and re-captured when corrupt) on later runs; (4) the
  * resume-mode mix — journaled replayed cells resume byte-identically;
  * (5) the capture I/O substrate — the sliced CRC-32 equals the bytewise
- * definition, a capture file written before it still loads and saves
- * to the same bytes, and a session whose record reservation cannot be
- * mapped still records.
+ * definition, the pinned format-v2 file loads and saves to the same
+ * bytes, and a session whose record reservation cannot be mapped still
+ * records; (6) a mutation corpus over the pinned file — truncation at
+ * every length, a bit flip in every header and record byte, aux cursor
+ * overruns and the retired v1 pin — where every mutant is rejected
+ * with a reason; (7) record fusion — the session fuses exactly the
+ * memory-then-compute pairs it may, and replaying a capture with its
+ * fused records split back into primitives changes nothing.
  *
  * The static initializer below pins TARTAN_REPLAY / TARTAN_CAPTURE_DIR
  * for this whole binary: RunEnv snapshots the environment on first use,
@@ -32,6 +37,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <span>
 #include <sstream>
@@ -43,10 +49,12 @@
 #include "sim/capture.hh"
 #include "sim/checksum.hh"
 #include "sim/runpool.hh"
+#include "sim/stats.hh"
 #include "workloads/cellcodec.hh"
 #include "workloads/common.hh"
 #include "workloads/replay.hh"
 #include "workloads/robots.hh"
+#include "fused_split.hh"
 
 namespace fs = std::filesystem;
 
@@ -142,7 +150,7 @@ sampleTrace()
 }
 
 /**
- * The fixed synthetic trace behind tests/data/capture_v1_pin.tcap. It
+ * The fixed synthetic trace behind tests/data/capture_v2_pin.tcap. It
  * depends on nothing but this code, so every build must record it as
  * the same records and aux bytes and save it as the same file; editing
  * it invalidates the pinned file.
@@ -404,15 +412,22 @@ TEST(CaptureTrace, ValidateRejectsBadOpsAndAuxOverruns)
     EXPECT_FALSE(bad_op.validate(&err));
     EXPECT_NE(err.find("op tag"), std::string::npos) << err;
 
-    // Aux reference past the end of the aux stream (the RegisterKernel
-    // record is aux-bearing).
+    // A record claiming more aux bytes than the stream holds (the
+    // RegisterKernel record is aux-bearing): the cursor overruns.
     CaptureTrace bad_aux = sampleTrace();
     ASSERT_EQ(CapOp(bad_aux.records[0].op), CapOp::RegisterKernel);
-    bad_aux.records[0].d = bad_aux.aux.size();
-    bad_aux.records[0].a32 = 1;
+    bad_aux.records[0].a32 = std::uint32_t(bad_aux.aux.size() + 1);
     err.clear();
     EXPECT_FALSE(bad_aux.validate(&err));
-    EXPECT_NE(err.find("aux"), std::string::npos) << err;
+    EXPECT_NE(err.find("aux cursor"), std::string::npos) << err;
+
+    // One byte fewer claimed: the cursor stops short of the stream's
+    // end, leaving bytes no record owns.
+    CaptureTrace short_aux = sampleTrace();
+    short_aux.records[0].a32 -= 1;
+    err.clear();
+    EXPECT_FALSE(short_aux.validate(&err));
+    EXPECT_NE(err.find("aux bytes"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------
@@ -434,9 +449,17 @@ bitwiseCrc32(const unsigned char *p, std::size_t n)
     return c ^ 0xffffffffu;
 }
 
-/** The capture file pinned at format version 1. */
+/** The capture file pinned at format version 2. */
 fs::path
 pinPath()
+{
+    return fs::path(__FILE__).parent_path() / "data" /
+           "capture_v2_pin.tcap";
+}
+
+/** pinTrace() as saved by format version 1, kept as a foreign file. */
+fs::path
+v1PinPath()
 {
     return fs::path(__FILE__).parent_path() / "data" /
            "capture_v1_pin.tcap";
@@ -492,13 +515,13 @@ TEST(Crc32, ChainedUpdatesEqualOneShot)
     }
 }
 
-TEST(CaptureFormatPin, VersionOneFileLoadsAndSavesToTheSameBytes)
+TEST(CaptureFormatPin, VersionTwoFileLoadsAndSavesToTheSameBytes)
 {
     const std::string pinned = slurp(pinPath());
     ASSERT_FALSE(pinned.empty()) << "missing " << pinPath();
     std::uint32_t version = 0;
     std::memcpy(&version, pinned.data() + 8, 4);
-    EXPECT_EQ(version, 1u);
+    EXPECT_EQ(version, 2u);
     EXPECT_EQ(version, tartan::sim::kCaptureFormatVersion);
 
     CaptureTrace loaded;
@@ -509,13 +532,309 @@ TEST(CaptureFormatPin, VersionOneFileLoadsAndSavesToTheSameBytes)
     const fs::path resaved = dir / "resaved.tcap";
     ASSERT_TRUE(loaded.save(resaved.string(), &err)) << err;
     EXPECT_TRUE(slurp(resaved) == pinned)
-        << "a loaded v1 capture no longer saves to its own bytes";
+        << "a loaded v2 capture no longer saves to its own bytes";
 
     // The same synthetic trace recorded and saved by this build.
     const fs::path fresh = dir / "fresh.tcap";
     ASSERT_TRUE(pinTrace().save(fresh.string(), &err)) << err;
     EXPECT_TRUE(slurp(fresh) == pinned)
         << "this build writes the pinned trace differently";
+}
+
+// ---------------------------------------------------------------------------
+// Mutation corpus over the pinned v2 file
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kHeaderBytes = 64;
+
+/** Write @p bytes to @p path and load them; false (with @p err) = rejected. */
+bool
+loadsAs(const fs::path &path, const std::string &bytes, std::string *err)
+{
+    spit(path, bytes);
+    CaptureTrace out;
+    return CaptureTrace::load(path.string(), out, err);
+}
+
+} // namespace
+
+TEST(CaptureCorpus, TruncationAtEveryLengthIsRejected)
+{
+    const std::string pinned = slurp(pinPath());
+    ASSERT_FALSE(pinned.empty()) << "missing " << pinPath();
+    const fs::path path = scratchDir("corpus_trunc") / "t.tcap";
+    for (std::size_t len = 0; len < pinned.size(); ++len) {
+        std::string err;
+        ASSERT_FALSE(loadsAs(path, pinned.substr(0, len), &err))
+            << "a " << len << "-byte prefix loaded";
+        ASSERT_FALSE(err.empty()) << "length " << len;
+    }
+}
+
+TEST(CaptureCorpus, BitFlipInEveryHeaderAndRecordByteIsRejected)
+{
+    const std::string pinned = slurp(pinPath());
+    CaptureTrace pin;
+    std::string err;
+    ASSERT_TRUE(CaptureTrace::load(pinPath().string(), pin, &err)) << err;
+    const std::size_t records_end =
+        kHeaderBytes + pin.records.size() * sizeof(CapRecord);
+    ASSERT_LT(records_end, pinned.size());  // the aux bytes follow
+    const fs::path path = scratchDir("corpus_flip") / "t.tcap";
+    for (std::size_t at = 0; at < records_end; ++at)
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string mutant = pinned;
+            mutant[at] = char(mutant[at] ^ (1 << bit));
+            err.clear();
+            ASSERT_FALSE(loadsAs(path, mutant, &err))
+                << "byte " << at << " bit " << bit << " flipped still loads";
+            ASSERT_FALSE(err.empty()) << "byte " << at << " bit " << bit;
+        }
+}
+
+TEST(CaptureCorpus, AuxCursorOverrunIsRejected)
+{
+    // Correctly framed and checksummed files whose records claim more
+    // aux than the stream holds: save() writes any trace, so only the
+    // cursor walk in validate() stands between them and replay.
+    const fs::path dir = scratchDir("corpus_aux");
+    CaptureTrace pin = pinTrace();
+    ASSERT_TRUE(pin.validate());
+
+    std::vector<CaptureTrace> mutants;
+    // The last aux-bearing record claims one lane more.
+    for (std::size_t i = pin.records.size(); i-- > 0;)
+        if (tartan::sim::capAuxBytes(pin.records[i]) &&
+            CapOp(pin.records[i].op) != CapOp::Metric) {
+            mutants.push_back(pin);
+            mutants.back().records[i].a32 += 1;
+            break;
+        }
+    // A plain store whose size field says "wide" with no aux behind it.
+    for (std::size_t i = 0; i < pin.records.size(); ++i)
+        if (CapOp(pin.records[i].op) == CapOp::Store) {
+            mutants.push_back(pin);
+            mutants.back().records[i].a16 = tartan::sim::kCapWide16;
+            break;
+        }
+    // A lane op whose packed cycle count says "wide" likewise.
+    for (std::size_t i = 0; i < pin.records.size(); ++i)
+        if (CapOp(pin.records[i].op) == CapOp::DeviceLoadLanes) {
+            mutants.push_back(pin);
+            mutants.back().records[i].b |=
+                std::uint64_t(tartan::sim::kCapWide32) << 32;
+            break;
+        }
+    // The final metric's name runs off the end of the stream.
+    mutants.push_back(pin);
+    ASSERT_EQ(CapOp(mutants.back().records.back().op), CapOp::Metric);
+    mutants.back().records.back().a32 += 1;
+    ASSERT_EQ(mutants.size(), 4u);
+
+    for (std::size_t m = 0; m < mutants.size(); ++m) {
+        const fs::path path = dir / ("m" + std::to_string(m) + ".tcap");
+        std::string err;
+        ASSERT_TRUE(mutants[m].save(path.string(), &err)) << err;
+        CaptureTrace out;
+        EXPECT_FALSE(CaptureTrace::load(path.string(), out, &err))
+            << "mutant " << m;
+        EXPECT_NE(err.find("aux cursor overruns"), std::string::npos)
+            << "mutant " << m << ": " << err;
+    }
+}
+
+TEST(CaptureCorpus, VersionOnePinIsRejectedAsForeign)
+{
+    // Format v1 files are re-captured, never read: there is no v1 reader.
+    CaptureTrace out;
+    std::string err;
+    EXPECT_FALSE(CaptureTrace::load(v1PinPath().string(), out, &err));
+    EXPECT_NE(err.find("foreign format version 1"), std::string::npos)
+        << err;
+}
+
+// ---------------------------------------------------------------------------
+// Record fusion rules
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<CapOp>
+opsOf(const CaptureTrace &trace)
+{
+    std::vector<CapOp> ops;
+    for (const CapRecord &r : trace.records)
+        ops.push_back(CapOp(r.op));
+    return ops;
+}
+
+} // namespace
+
+TEST(CaptureFusion, MemoryThenComputePairsFuseAndSplitBack)
+{
+    CaptureSession session(1, 2);
+    const std::uint64_t lanes[] = {0x5000, 0x5040};
+    session.load(0x1000, 7, 1, 8);
+    session.exec(3, 1);
+    session.store(0x2000, 8, 4);
+    session.exec(2, 3);
+    session.vecLoadContiguous(0x3000, 64, 9);
+    session.vecOp(2);
+    session.vecLoadLanes(lanes, 10, 5, 4, 10);
+    session.vecOp(255);
+    const CaptureTrace trace = session.take();
+    EXPECT_EQ(opsOf(trace),
+              (std::vector<CapOp>{CapOp::LoadExec, CapOp::StoreExec,
+                                  CapOp::VecLoadContiguousVecOp,
+                                  CapOp::VecLoadLanesVecOp}));
+    ASSERT_TRUE(trace.validate());
+
+    const CaptureTrace split = tartan::testutil::splitFused(trace);
+    ASSERT_TRUE(split.validate());
+    ASSERT_EQ(opsOf(split),
+              (std::vector<CapOp>{CapOp::Load, CapOp::Exec, CapOp::Store,
+                                  CapOp::Exec, CapOp::VecLoadContiguous,
+                                  CapOp::VecOp, CapOp::VecLoadLanes,
+                                  CapOp::VecOp}));
+    const auto &r = split.records;
+    EXPECT_EQ(r[0].b, 0x1000u);
+    EXPECT_EQ(r[0].a32, 7u);
+    EXPECT_EQ(r[0].a8, 1u);
+    EXPECT_EQ(r[0].a16, 8u);
+    EXPECT_EQ(r[1].b, 3u);
+    EXPECT_EQ(r[1].a8, 1u);
+    EXPECT_EQ(r[2].a16, 4u);
+    EXPECT_EQ(r[3].b, 2u);
+    EXPECT_EQ(r[3].a8, 3u);
+    EXPECT_EQ(r[4].a16, 64u);
+    EXPECT_EQ(r[5].b, 2u);
+    EXPECT_EQ(r[6].a16, 4u);
+    EXPECT_EQ(r[6].a8, 10u);
+    EXPECT_EQ(r[6].b, 10u | std::uint64_t(5) << 32);
+    EXPECT_EQ(r[7].b, 255u);
+}
+
+TEST(CaptureFusion, OnlyAdjacentMemoryThenComputeFusesWhenItFits)
+{
+    const std::uint64_t lanes[] = {0x5000};
+    CaptureSession session(1, 2);
+    // Compute then memory never fuses.
+    session.exec(3, 1);
+    session.load(0x1000, 7, 0, 8);
+    // A memory op absorbs one compute op, not two.
+    session.exec(1, 0);
+    session.exec(1, 0);
+    // Mismatched pairs.
+    session.load(0x1000, 7, 0, 8);
+    session.vecOp(1);
+    session.vecLoadContiguous(0x3000, 64, 9);
+    session.exec(1, 0);
+    // Not across a suppressed stretch, even an empty one.
+    session.load(0x1000, 7, 0, 8);
+    {
+        tartan::sim::CaptureSuppress quiet(&session);
+        session.exec(5, 0);
+    }
+    session.exec(1, 0);
+    session.store(0x2000, 8, 4);
+    {
+        tartan::sim::CaptureSuppress quiet(&session);
+    }
+    session.exec(1, 0);
+    // Arguments that do not fit the head's spare bits.
+    session.load(0x1000, 7, 0, 8);
+    session.exec(256, 0);
+    session.load(0x1000, 7, 0, 256);
+    session.exec(1, 0);
+    session.load(0x1000, 7, 0, 8);
+    session.exec(1, 16);
+    session.vecLoadLanes(lanes, 10, 0, 256, 1);
+    session.vecOp(1);
+    session.vecLoadContiguous(0x3000, 64, 9);
+    session.vecOp(256);
+    const CaptureTrace trace = session.take();
+    ASSERT_TRUE(trace.validate());
+    EXPECT_EQ(opsOf(trace),
+              (std::vector<CapOp>{
+                  CapOp::Exec, CapOp::LoadExec, CapOp::Exec,
+                  CapOp::Load, CapOp::VecOp,
+                  CapOp::VecLoadContiguous, CapOp::Exec,
+                  CapOp::Load, CapOp::Exec,
+                  CapOp::Store, CapOp::Exec,
+                  CapOp::Load, CapOp::Exec,
+                  CapOp::Load, CapOp::Exec,
+                  CapOp::Load, CapOp::Exec,
+                  CapOp::VecLoadLanes, CapOp::VecOp,
+                  CapOp::VecLoadContiguous, CapOp::VecOp}));
+}
+
+TEST(CaptureFusion, WideArgumentsReplayThroughTheAuxCursor)
+{
+    // Drive a core directly with arguments too wide for their record
+    // fields (and the pairs they may still fuse into), then replay the
+    // capture on a second machine: identical stats, and the replay
+    // cursor ends exactly at the end of the aux stream.
+    const MachineSpec spec = MachineSpec::tartan();
+    CaptureSession session(1, 2);
+    WorkloadOptions opt;
+    opt.capture = &session;
+    tartan::workloads::Machine direct(spec, opt);
+    tartan::sim::Core &core = direct.core();
+    tartan::sim::MemPath &mem = direct.system().mem();
+    const std::uint64_t base = 0x7f0000000000ull;
+    mem.mapSegment(base, std::size_t(1) << 24);
+    mem.addWriteThroughRange(base + 0x100000, 4096);
+    mem.addNoAllocateRange(base + 0x200000, 8192);
+    core.registerKernel("wide");
+    core.load(base, 1, tartan::sim::MemDep::Dependent, 70000);
+    core.exec(4);
+    core.store(base + 64, 2, 0xffff);
+    core.exec(1);
+    core.vecLoadContiguous(base + 4096, 1u << 17, 3);
+    core.vecOp(2);
+    const std::uint64_t lanes[] = {base + 128, base + 8192};
+    core.vecLoadLanes(lanes, 4, std::uint64_t(1) << 33, 1u << 20,
+                      tartan::sim::CpiCat::Ovec);
+    core.vecOp(3);
+    core.vecLoadLanes(lanes, 5, std::uint64_t(1) << 34, 8,
+                      tartan::sim::CpiCat::Ovec);
+    core.vecOp(1);
+    core.deviceLoadLanes(lanes, 6, std::uint64_t(1) << 35,
+                         tartan::sim::CpiCat::Ovec);
+    core.load(base + 256, 7, tartan::sim::MemDep::Independent, 8);
+    core.exec(2);
+    const CaptureTrace trace = session.take();
+    ASSERT_TRUE(trace.validate());
+    EXPECT_EQ(opsOf(trace),
+              (std::vector<CapOp>{
+                  CapOp::MapSegment, CapOp::WriteThroughRange,
+                  CapOp::NoAllocateRange, CapOp::RegisterKernel,
+                  CapOp::Load, CapOp::Exec,
+                  CapOp::Store, CapOp::Exec, CapOp::VecLoadContiguous,
+                  CapOp::VecOp, CapOp::VecLoadLanes, CapOp::VecOp,
+                  CapOp::VecLoadLanesVecOp, CapOp::DeviceLoadLanes,
+                  CapOp::LoadExec}));
+
+    tartan::workloads::Machine replayed(spec, WorkloadOptions{});
+    tartan::workloads::ReplayStream stream(trace, replayed);
+    while (!stream.done())
+        stream.step();
+    EXPECT_EQ(stream.auxCursor(), trace.aux.size());
+
+    const auto dump = [](tartan::workloads::Machine &m) {
+        tartan::sim::StatsRegistry registry;
+        m.registerStats(registry);
+        registry.setMeta("timestamp", "pinned");
+        registry.setMeta("git", "pinned");
+        std::ostringstream os;
+        registry.dumpJson(os);
+        return os.str();
+    };
+    EXPECT_EQ(replayed.core().cycles(), direct.core().cycles());
+    EXPECT_EQ(replayed.core().instructions(), direct.core().instructions());
+    EXPECT_TRUE(dump(replayed) == dump(direct));
 }
 
 TEST(CaptureSessionDeathTest, UnmappableReservationFallsBackToGrowth)
@@ -609,6 +928,66 @@ TEST(ReplayEquivalence, EveryRobotReplaysExactlyAtTheCaptureConfig)
         EXPECT_EQ(tartan::workloads::encodeRunResult(replayed),
                   tartan::workloads::encodeRunResult(direct));
     }
+}
+
+namespace {
+
+/** Replay @p trace on a fresh machine: its result and its stats dump. */
+std::pair<RunResult, std::string>
+replayWithStats(const CaptureTrace &trace, const MachineSpec &spec,
+                const WorkloadOptions &opt)
+{
+    tartan::workloads::Machine machine(spec, opt);
+    tartan::workloads::ReplayStream stream(trace, machine);
+    while (!stream.done())
+        stream.step();
+    EXPECT_EQ(stream.auxCursor(), trace.aux.size());
+    RunResult res = stream.finalize();
+    tartan::sim::StatsRegistry registry;
+    machine.registerStats(registry);
+    registry.setMeta("timestamp", "pinned");
+    registry.setMeta("git", "pinned");
+    std::ostringstream os;
+    registry.dumpJson(os);
+    return {std::move(res), os.str()};
+}
+
+} // namespace
+
+TEST(ReplayEquivalence, FusedAndSplitTracesReplayIdentically)
+{
+    // Fusion is a storage encoding only: every robot's capture replays
+    // to the same result, payload and stats dump with its fused records
+    // split back into the primitive pairs they stand for.
+    WorkloadOptions opt;
+    opt.tier = SoftwareTier::Optimized;
+    opt.scale = 0.25;
+    opt.seed = 17;
+    const MachineSpec spec = MachineSpec::tartan();
+    std::map<CapOp, std::uint64_t> fused_seen;
+    for (const auto &robot : tartan::workloads::robotSuite()) {
+        SCOPED_TRACE(robot.name);
+        const CaptureTrace trace = captureRun(robot.run, spec, opt);
+        for (const CapRecord &r : trace.records)
+            if (tartan::sim::capOpCount(r) == 2)
+                ++fused_seen[CapOp(r.op)];
+        const CaptureTrace split = tartan::testutil::splitFused(trace);
+        ASSERT_TRUE(split.validate());
+        ASSERT_GT(split.records.size(), trace.records.size());
+
+        const auto fused = replayWithStats(trace, spec, opt);
+        const auto unfused = replayWithStats(split, spec, opt);
+        expectIdentical(fused.first, unfused.first);
+        EXPECT_EQ(tartan::workloads::encodeRunResult(fused.first),
+                  tartan::workloads::encodeRunResult(unfused.first));
+        EXPECT_TRUE(fused.second == unfused.second)
+            << "stats dumps differ";
+    }
+    // Every fused kind occurs in the suite, so each decoding is covered.
+    for (CapOp op : {CapOp::LoadExec, CapOp::StoreExec,
+                     CapOp::VecLoadContiguousVecOp,
+                     CapOp::VecLoadLanesVecOp})
+        EXPECT_GT(fused_seen[op], 0u) << "fused op " << int(op);
 }
 
 TEST(ReplayEquivalence, TimingOnlyMachineChangesReplayExactly)

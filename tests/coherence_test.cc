@@ -4,11 +4,12 @@
  * the Cache, snoop invalidation/downgrade and dirty forwarding through
  * the Uncore, crossbar and banked-DRAM latency math, the coherence CPI
  * category, and fleet-replay determinism (serial vs parallel pools,
- * N=1 vs the single-core replay path).
+ * N=1 vs the single-core replay path, fused vs split capture records).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
 #include <vector>
 
@@ -16,8 +17,10 @@
 #include "sim/runpool.hh"
 #include "sim/system.hh"
 #include "sim/uncore.hh"
+#include "workloads/cellcodec.hh"
 #include "workloads/replay.hh"
 #include "workloads/robots.hh"
+#include "fused_split.hh"
 
 namespace {
 
@@ -339,6 +342,55 @@ TEST(FleetReplay, FleetIsDeterministicAcrossPoolWidths)
     // Contention is real: the fleet run is never faster than solo.
     const RunResult solo = tartan::workloads::replayTrace(d, spec, opt);
     EXPECT_GE(runs[0][0].wallCycles, solo.wallCycles);
+}
+
+TEST(FleetReplay, FusedAndSplitRecordsInterleaveIdentically)
+{
+    // A fused record steps a core through its memory op and the compute
+    // op after it in one pick of the min-cycle-first interleave. That is
+    // sound only because the compute op touches no shared state: the
+    // split trace, one pick per op, must give the same fleet. Identical
+    // streams on several cores keep their clocks tied, so picks keep
+    // breaking ties toward the lower core index.
+    WorkloadOptions opt;
+    opt.scale = 0.2;
+    const MachineSpec spec = MachineSpec::tartan();
+    const CaptureTrace d =
+        captureRobot(tartan::workloads::runDeliBot, spec, opt);
+    const CaptureTrace h =
+        captureRobot(tartan::workloads::runHomeBot, spec, opt);
+    const CaptureTrace ds = tartan::testutil::splitFused(d);
+    const CaptureTrace hs = tartan::testutil::splitFused(h);
+    ASSERT_GT(ds.records.size(), d.records.size());
+    ASSERT_GT(hs.records.size(), h.records.size());
+
+    using Fleet = std::vector<const CaptureTrace *>;
+    const std::vector<std::pair<Fleet, Fleet>> fleets = {
+        {{&d, &d}, {&ds, &ds}},
+        {{&d, &h}, {&ds, &hs}},
+        {{&d, &d, &d, &d}, {&ds, &ds, &ds, &ds}},
+        {{&h, &d, &h, &d}, {&hs, &ds, &hs, &ds}},
+    };
+    for (std::size_t f = 0; f < fleets.size(); ++f) {
+        SCOPED_TRACE("fleet " + std::to_string(f));
+        tartan::workloads::FleetUncoreSnapshot fu, su;
+        const std::vector<RunResult> fused = tartan::workloads::replayFleet(
+            fleets[f].first, spec, opt, &fu);
+        const std::vector<RunResult> split = tartan::workloads::replayFleet(
+            fleets[f].second, spec, opt, &su);
+        ASSERT_EQ(fused.size(), split.size());
+        for (std::size_t c = 0; c < fused.size(); ++c)
+            EXPECT_EQ(tartan::workloads::encodeRunResult(fused[c]),
+                      tartan::workloads::encodeRunResult(split[c]))
+                << "core " << c;
+        EXPECT_EQ(std::memcmp(&fu.coherence, &su.coherence,
+                              sizeof(fu.coherence)),
+                  0);
+        EXPECT_EQ(std::memcmp(&fu.xbar, &su.xbar, sizeof(fu.xbar)), 0);
+        EXPECT_EQ(std::memcmp(&fu.memctrl, &su.memctrl,
+                              sizeof(fu.memctrl)),
+                  0);
+    }
 }
 
 } // namespace
