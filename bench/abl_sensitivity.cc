@@ -28,14 +28,9 @@ namespace {
 void
 anlGeometry(BenchReporter &rep, RunPool &pool)
 {
-    // One MoveBot execution serves the whole 13-cell geometry sweep
-    // under TARTAN_REPLAY (ANL geometry is a timing-only knob).
-    CaptureSource src("MoveBot", runMoveBot, MachineSpec::baseline(),
-                      options(SoftwareTier::Optimized, 1.0, 123));
     std::vector<Cell<RunResult>> jobs;
-    jobs.push_back(replayCell(src, "anl/base", runMoveBot,
-                              MachineSpec::baseline(),
-                              options(SoftwareTier::Optimized, 1.0, 123)));
+    jobs.push_back(cell("anl/base", runMoveBot, MachineSpec::baseline(),
+                        options(SoftwareTier::Optimized, 1.0, 123)));
     for (std::uint32_t entries : {8u, 16u, 32u, 64u}) {
         for (std::uint32_t region : {512u, 1024u, 2048u}) {
             auto spec = MachineSpec::baseline();
@@ -43,12 +38,11 @@ anlGeometry(BenchReporter &rep, RunPool &pool)
             spec.anlCfg.entries = entries;
             spec.anlCfg.regionBytes = region;
             spec.anlCfg.lineBytes = spec.sys.lineBytes;
-            jobs.push_back(
-                replayCell(src,
-                           "anl/" + std::to_string(entries) + "e-" +
-                               std::to_string(region) + "B",
-                           runMoveBot, spec,
-                           options(SoftwareTier::Optimized, 1.0, 123)));
+            jobs.push_back(cell("anl/" + std::to_string(entries) + "e-" +
+                                    std::to_string(region) + "B",
+                                runMoveBot, spec,
+                                options(SoftwareTier::Optimized, 1.0,
+                                        123)));
         }
     }
     const std::vector<RunResult> results =
@@ -98,21 +92,15 @@ fcpLevel(BenchReporter &rep, RunPool &pool)
                               {"L2", true, false},
                               {"L2+L3", true, true}};
 
-    // One CarriBot execution serves all four FCP-level cells under
-    // TARTAN_REPLAY.
-    CaptureSource src("CarriBot", runCarriBot, MachineSpec::baseline(),
-                      options(SoftwareTier::Optimized, 0.6));
     std::vector<Cell<RunResult>> jobs;
-    jobs.push_back(replayCell(src, "fcp/base", runCarriBot,
-                              MachineSpec::baseline(),
-                              options(SoftwareTier::Optimized, 0.6)));
+    jobs.push_back(cell("fcp/base", runCarriBot, MachineSpec::baseline(),
+                        options(SoftwareTier::Optimized, 0.6)));
     for (const Config &c : configs) {
         auto spec = MachineSpec::baseline();
         spec.sys.fcpEnabled = c.l2;
         spec.sys.fcpAtL3 = c.l3;
-        jobs.push_back(replayCell(src, std::string("fcp/") + c.name,
-                                  runCarriBot, spec,
-                                  options(SoftwareTier::Optimized, 0.6)));
+        jobs.push_back(cell(std::string("fcp/") + c.name, runCarriBot,
+                            spec, options(SoftwareTier::Optimized, 0.6)));
     }
     const std::vector<RunResult> results =
         runAll(rep, pool, std::move(jobs));
@@ -139,23 +127,15 @@ fcpLevel(BenchReporter &rep, RunPool &pool)
 void
 npuLinkLatency(BenchReporter &rep, RunPool &pool)
 {
-    // The exact (Optimized-tier) reference runs different code from
-    // the Approximate sweep cells, so it stays a direct cell; the five
-    // latency points share one Approximate-tier capture — commLatency
-    // only rescales the semantic NPU events at replay.
-    CaptureSource src("FlyBot", runFlyBot, MachineSpec::tartan(),
-                      options(SoftwareTier::Approximate));
     std::vector<Cell<RunResult>> jobs;
     jobs.push_back(cell("npuLink/exact", runFlyBot, MachineSpec::tartan(),
                         options(SoftwareTier::Optimized)));
     for (tartan::sim::Cycles lat : {1u, 4u, 16u, 48u, 104u}) {
         auto spec = MachineSpec::tartan();
         spec.npuCfg.commLatency = lat;
-        jobs.push_back(replayCell(src,
-                                  "npuLink/" + std::to_string(lat) +
-                                      "cyc",
-                                  runFlyBot, spec,
-                                  options(SoftwareTier::Approximate)));
+        jobs.push_back(cell("npuLink/" + std::to_string(lat) + "cyc",
+                            runFlyBot, spec,
+                            options(SoftwareTier::Approximate)));
     }
     const std::vector<RunResult> results =
         runAll(rep, pool, std::move(jobs));
@@ -196,6 +176,5 @@ main()
     anlGeometry(rep, pool);
     fcpLevel(rep, pool);
     npuLinkLatency(rep, pool);
-    reportCaptureStats(rep);
     return campaignExit(rep);
 }

@@ -16,6 +16,11 @@
  * the main thread after the gather, so stdout and the BENCH manifest
  * are byte-identical whatever TARTAN_JOBS is.
  *
+ * A robot cell runs its robot directly, also in sweeps over
+ * timing-only knobs: replaying a capture would still run the whole
+ * timing model, which is most of a run's host time (EXPERIMENTS.md,
+ * "Capture and replay").
+ *
  * The campaign-aware runAll(rep, pool, cells) overload routes every
  * cell through sim::CampaignRunner: journal replay under
  * TARTAN_RESUME, verified result-cache hits under TARTAN_CACHE_DIR,
@@ -33,14 +38,12 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/campaign.hh"
-#include "sim/capture.hh"
 #include "sim/checksum.hh"
 #include "sim/env.hh"
 #include "sim/logging.hh"
@@ -48,7 +51,6 @@
 #include "sim/runpool.hh"
 #include "sim/watchdog.hh"
 #include "workloads/cellcodec.hh"
-#include "workloads/replay.hh"
 #include "workloads/robots.hh"
 
 namespace tartan::bench {
@@ -295,150 +297,6 @@ cell(BenchReporter &rep, std::string label, RobotFn run, MachineSpec spec,
         return res;
     };
     return c;
-}
-
-/**
- * One shared capture of a (robot, machine, options, seed) cell,
- * recorded at most once per process and handed out to every replayed
- * sibling cell. Thread-safe: the first acquire() runs (or loads) the
- * capture under a mutex while later callers wait — with their cell
- * watchdogs suspended, because queueing behind a sibling's capture is
- * not *their* work and must not eat their TARTAN_TIMEOUT budget.
- *
- * With TARTAN_CAPTURE_DIR set, captures persist as content-addressed
- * `capture_<confighash16>_<seed>.tcap` files: a matching file is
- * loaded instead of executing the robot, and any invalid file
- * (truncated, bit-flipped, foreign version/identity) is ignored with a
- * warning and re-captured — same policy as the run journal.
- */
-class CaptureSource
-{
-  public:
-    CaptureSource(std::string robot, RobotFn run, MachineSpec spec,
-                  WorkloadOptions opt)
-        : robotName(std::move(robot)), runFn(run),
-          specData(std::move(spec)), optData(opt)
-    {
-        hash = workloads::cellConfigHash(robotName, specData, optData,
-                                         "capture");
-    }
-
-    const MachineSpec &spec() const { return specData; }
-    const WorkloadOptions &opt() const { return optData; }
-
-    /** The capture, recording/loading it on the first call. */
-    std::shared_ptr<const sim::CaptureTrace>
-    acquire()
-    {
-        std::unique_lock<std::mutex> lock(mtx, std::defer_lock);
-        {
-            // Waiting for a sibling's capture is not this cell's work.
-            sim::ScopedWatchSuspend suspend;
-            lock.lock();
-        }
-        if (cached)
-            return cached;
-        const std::string path = filePath();
-        if (!path.empty()) {
-            auto loaded = std::make_shared<sim::CaptureTrace>();
-            std::string err;
-            if (sim::CaptureTrace::load(path, *loaded, &err) &&
-                loaded->configHash == hash &&
-                loaded->seed == optData.seed) {
-                ++sim::captureStats().fileHits;
-                cached = std::move(loaded);
-                return cached;
-            }
-            if (!err.empty())
-                sim::warn("capture: ignoring invalid '%s' (%s); "
-                          "re-capturing",
-                          path.c_str(), err.c_str());
-        }
-        sim::CaptureSession session(hash, optData.seed);
-        WorkloadOptions copt = optData;
-        copt.capture = &session;
-        const RunResult res = runFn(specData, copt);
-        session.setRobot(res.robot);
-        for (const auto &[name, value] : res.metrics)
-            session.addMetric(name, value);
-        ++sim::captureStats().captures;
-        auto trace =
-            std::make_shared<sim::CaptureTrace>(session.take());
-        if (!path.empty()) {
-            std::string err;
-            if (!trace->save(path, &err))
-                sim::warn("capture: failed to save '%s' (%s)",
-                          path.c_str(), err.c_str());
-        }
-        cached = std::move(trace);
-        return cached;
-    }
-
-  private:
-    std::string
-    filePath() const
-    {
-        const std::string &dir = sim::RunEnv::get().captureDir;
-        if (dir.empty())
-            return {};
-        return dir + "/capture_" + sim::hex64(hash) + "_" +
-               std::to_string(optData.seed) + ".tcap";
-    }
-
-    std::string robotName;
-    RobotFn runFn;
-    MachineSpec specData;
-    WorkloadOptions optData;
-    std::uint64_t hash = 0;
-    std::mutex mtx;
-    std::shared_ptr<const sim::CaptureTrace> cached;
-};
-
-/**
- * Build one robot-run cell that replays @p src's capture when
- * TARTAN_REPLAY is on and (@p spec, @p opt) is replay-compatible with
- * the capture cell, and falls back to a direct run otherwise. Label,
- * content address and seed are constructed exactly like cell()'s, so a
- * replayed cell is indistinguishable in the journal, the result cache
- * and the BENCH payload — byte-identical results are the contract the
- * capture-replay CI job enforces. @p src must outlive the sweep.
- */
-inline Cell<RunResult>
-replayCell(CaptureSource &src, std::string label, RobotFn run,
-           MachineSpec spec, WorkloadOptions opt, std::string_view salt = {})
-{
-    Cell<RunResult> c;
-    c.configHash = workloads::cellConfigHash(label, spec, opt, salt);
-    c.seed = opt.seed;
-    c.label = std::move(label);
-    CaptureSource *source = &src;
-    c.fn = [source, run, spec = std::move(spec), opt]() {
-        if (!sim::RunEnv::get().replay ||
-            !workloads::replayCompatible(source->spec(), source->opt(),
-                                         spec, opt))
-            return run(spec, opt);
-        auto trace = source->acquire();
-        ++sim::captureStats().replays;
-        return workloads::replayTrace(*trace, spec, opt);
-    };
-    return c;
-}
-
-/**
- * Surface the process-wide capture/replay accounting in @p rep's
- * manifest. A no-op while all counters are zero (TARTAN_REPLAY off, or
- * a driver without replayCell conversions), so existing BENCH payloads
- * are unchanged byte for byte.
- */
-inline void
-reportCaptureStats(BenchReporter &rep)
-{
-    const sim::CaptureStats &st = sim::captureStats();
-    const std::uint64_t captures = st.captures.load();
-    const std::uint64_t file_hits = st.fileHits.load();
-    const std::uint64_t replays = st.replays.load();
-    if (captures || file_hits || replays)
-        rep.captureStats(captures, file_hits, replays);
 }
 
 /**

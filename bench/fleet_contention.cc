@@ -1,16 +1,15 @@
 /**
  * @file
  * Fleet contention study: N robots sharing one coherent multi-core
- * machine. Each roster slot is captured once (capture-once /
- * replay-many), then the N op streams replay min-cycle-first
- * interleaved through a machine with N private L1/L2 paths, a shared
- * sliced L3 behind a crossbar, MESI snooping between the private
- * hierarchies, and a banked DRAM controller. For every fleet size the
- * driver reports per-core wall cycles, the interference factor versus
- * the same robot running the machine alone, per-core CPI stacks
- * (including the coherence category), and the shared fabric's
- * crossbar/bank/coherence counters — once with the L3 fully shared and
- * once with FCP partitioning the L3 (paper §VIII-D).
+ * machine. Each roster robot is captured once, then the N op streams
+ * replay min-cycle-first interleaved through a machine with N private
+ * L1/L2 paths, a shared sliced L3 behind a crossbar, MESI snooping
+ * between the private hierarchies, and a banked DRAM controller. For
+ * every fleet size the driver reports per-core wall cycles, the
+ * interference factor versus the same robot running the machine alone,
+ * per-core CPI stacks (including the coherence category), and the
+ * shared fabric's crossbar/bank/coherence counters — once with the L3
+ * fully shared and once with FCP partitioning the L3 (paper §VIII-D).
  *
  * TARTAN_CORES pins the sweep to one fleet size (the CI smoke runs
  * N=4); default sweeps N in {1, 2, 4, 8}. TARTAN_XBAR_HOP,
@@ -19,6 +18,8 @@
  */
 
 #include "bench_util.hh"
+
+#include "workloads/replay.hh"
 
 using namespace tartan::bench;
 using namespace tartan::workloads;
@@ -93,26 +94,27 @@ main()
         *std::max_element(fleet_sizes.begin(), fleet_sizes.end());
     const std::size_t roster = std::min<std::size_t>(max_n, suite.size());
 
-    // Capture each distinct roster robot once; every solo reference and
-    // every fleet slot replays the same op stream.
-    std::vector<std::unique_ptr<CaptureSource>> sources;
-    std::vector<std::shared_ptr<const CaptureTrace>> traces;
-    for (std::size_t i = 0; i < roster; ++i) {
-        sources.push_back(std::make_unique<CaptureSource>(
-            suite[i].name, suite[i].run, MachineSpec::baseline(),
-            options(SoftwareTier::Optimized)));
-        traces.push_back(sources.back()->acquire());
-    }
-
     const char *mode_names[] = {"shared", "fcp"};
     RunPool pool;
+
+    // Capture each distinct roster robot once, the robots concurrently;
+    // every solo reference and every fleet slot replays the same op
+    // stream.
+    std::vector<std::function<CaptureTrace()>> capture_jobs;
+    for (std::size_t i = 0; i < roster; ++i)
+        capture_jobs.push_back([run = suite[i].run]() {
+            return captureRobot(run, MachineSpec::baseline(),
+                                options(SoftwareTier::Optimized));
+        });
+    const std::vector<CaptureTrace> traces =
+        runAll(pool, std::move(capture_jobs));
 
     // Solo references: each roster robot alone on the single-core
     // machine of each mode (simCores=1 -> no uncore, historical path).
     std::vector<std::function<RunResult()>> solo_jobs;
     for (int mode = 0; mode < 2; ++mode)
         for (std::size_t i = 0; i < roster; ++i) {
-            const CaptureTrace *trace = traces[i].get();
+            const CaptureTrace *trace = &traces[i];
             const MachineSpec spec = fleetSpec(mode == 1);
             solo_jobs.push_back([trace, spec]() {
                 return replayTrace(*trace, spec,
@@ -132,7 +134,7 @@ main()
         for (unsigned n : fleet_sizes) {
             std::vector<const CaptureTrace *> fleet;
             for (unsigned i = 0; i < n; ++i)
-                fleet.push_back(traces[i % roster].get());
+                fleet.push_back(&traces[i % roster]);
             const MachineSpec spec = fleetSpec(mode == 1);
             fleet_jobs.push_back([fleet, spec]() {
                 FleetOutcome out;
@@ -228,6 +230,5 @@ main()
 
     rep.note("interference = fleet wall cycles / solo wall cycles per "
              "core; fcp mode partitions the shared L3 with FCP");
-    reportCaptureStats(rep);
     return campaignExit(rep);
 }

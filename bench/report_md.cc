@@ -117,18 +117,6 @@ emitBench(std::ostream &os, const BenchDoc &bench)
     if (const Value *manifest = bench.doc.find("manifest")) {
         if (const Value *paper = manifest->find("paper"))
             os << "> " << paper->string << "\n\n";
-        if (const Value *cap = manifest->find("capture")) {
-            const Value *captures = cap->find("captures");
-            const Value *hits = cap->find("fileHits");
-            const Value *replays = cap->find("replays");
-            os << "Capture/replay: "
-               << formatNumber(captures ? captures->number : 0)
-               << " captured, "
-               << formatNumber(hits ? hits->number : 0)
-               << " loaded from file, "
-               << formatNumber(replays ? replays->number : 0)
-               << " cells replayed without robot execution.\n\n";
-        }
     }
 
     const Value *config = bench.doc.find("config");

@@ -10,12 +10,13 @@
  * (translate / cache / prefetch / fill / other) from a profiled run,
  * which must be observationally identical to the plain one.
  *
- * It also measures the capture-once/replay-many engine: each robot is
- * captured once, then the replay of its op stream is timed against
- * the direct run. The ratio is the host-time win of one additional
- * sweep point once a capture exists (what TARTAN_REPLAY buys per
- * replayed cell), and the replayed result must be observationally
- * identical to the direct run as well.
+ * It also measures the capture/replay engine: each robot is captured
+ * once, then the replay of its op stream is timed against the direct
+ * run. The ratio shows how much host time is robot code rather than
+ * timing model (close to 1x: replay still runs the whole timing
+ * model, which is why single-core sweeps run direct), and the
+ * replayed result must be observationally identical to the direct run
+ * as well.
  *
  * Runs are strictly serial (this bench measures host time; concurrent
  * runs would contend for the same cores). Knobs: TARTAN_SELFBENCH_REPS
@@ -175,19 +176,12 @@ main()
         // remainder and the five buckets sum to the wall exactly.
         prof.finalizeWall(prof_wall);
 
-        // Capture once, then time the replay of the op stream: the
-        // host cost of one more sweep point once a capture exists.
-        tartan::sim::CaptureSession session(0, opt.seed);
-        WorkloadOptions cap_opt = opt;
-        cap_opt.capture = &session;
+        // Capture once, then time the replay of the op stream.
         const std::uint64_t c0 = HostProfiler::now();
-        RunResult cap_res = robot.run(spec, cap_opt);
+        const tartan::sim::CaptureTrace trace =
+            captureRobot(robot.run, spec, opt);
         const double capture_sec =
             double(HostProfiler::now() - c0) * 1e-9;
-        session.setRobot(cap_res.robot);
-        for (const auto &[mname, mvalue] : cap_res.metrics)
-            session.addMetric(mname, mvalue);
-        const tartan::sim::CaptureTrace trace = session.take();
         TimedRun replay;
         for (unsigned r = 0; r < reps; ++r) {
             const std::uint64_t r0 = HostProfiler::now();

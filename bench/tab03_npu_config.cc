@@ -34,28 +34,18 @@ main()
 
     RunPool pool;
     std::vector<Cell<RunResult>> jobs;
-    // Exact (non-NPU) reference runs: a different software tier runs
-    // different code, so these stay direct cells. The PE sweep shares
-    // one Approximate-tier capture per robot — PE count only rescales
-    // the semantic NPU events at replay.
     for (const auto &t : targets)
         jobs.push_back(cell(std::string(t.name) + "/exact", t.run,
                             MachineSpec::tartan(),
                             options(SoftwareTier::Optimized)));
-    std::vector<std::unique_ptr<CaptureSource>> sources;
-    for (const auto &t : targets)
-        sources.push_back(std::make_unique<CaptureSource>(
-            t.name, t.run, MachineSpec::tartan(),
-            options(SoftwareTier::Approximate)));
     for (std::uint32_t pes : {2u, 4u, 8u}) {
         auto spec = MachineSpec::tartan();
         spec.npuCfg.pes = pes;
         for (std::size_t i = 0; i < 3; ++i)
-            jobs.push_back(replayCell(*sources[i],
-                                      std::string(targets[i].name) + "/" +
-                                          std::to_string(pes) + "PE",
-                                      targets[i].run, spec,
-                                      options(SoftwareTier::Approximate)));
+            jobs.push_back(cell(std::string(targets[i].name) + "/" +
+                                    std::to_string(pes) + "PE",
+                                targets[i].run, spec,
+                                options(SoftwareTier::Approximate)));
     }
     const std::vector<RunResult> results =
         runAll(rep, pool, std::move(jobs));
@@ -110,6 +100,5 @@ main()
              "4 PEs (the paper picks 4)");
     std::printf("\nShape check: memory/area grow with PEs; speedup "
                 "saturates past 4 PEs (the paper picks 4).\n");
-    reportCaptureStats(rep);
     return campaignExit(rep);
 }

@@ -208,11 +208,4 @@ CaptureTrace::load(const std::string &path, CaptureTrace &out,
     return true;
 }
 
-CaptureStats &
-captureStats()
-{
-    static CaptureStats stats;
-    return stats;
-}
-
 } // namespace tartan::sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Capture-once / replay-many trace engine.
+ * Capture / replay trace engine.
  *
  * PR 4's deterministic addressing made the Core-boundary op stream of a
  * robot run a pure function of the access *sequence*: host addresses
@@ -11,7 +11,10 @@
  * machine's timing configuration. A capture therefore records that
  * sequence once, at the Core's public API boundary, and a ReplayMachine
  * re-issues it against an arbitrary timing configuration without
- * touching robot code: one robot execution, N machine sweeps.
+ * touching robot code. Its users are fleet replay (one stream per core
+ * of a multi-core machine), saved .tcap files and the replay-vs-direct
+ * tests; single-core sweeps run direct, because replay still runs the
+ * whole timing model, which dominates a run's host time.
  *
  * What is captured (a 16-byte POD record per op, lane addresses,
  * strings and rare wide arguments in a side "aux" byte stream):
@@ -53,14 +56,14 @@
  * the memory op *after* it would let that access jump ahead of other
  * cores' accesses issued in between.
  *
- * File format (`capture_<confighash16>_<seed>.tcap`): a fixed 64-byte
- * header (magic, format version, CRC-32 via checksum.hh of the header
- * with its CRC field zeroed then the records then the aux bytes,
- * config hash, seed, record/aux counts) followed by the record array
- * and the aux bytes. Corruption policy mirrors the run journal: a
+ * File format (`.tcap`): a fixed 64-byte header (magic, format
+ * version, CRC-32 via checksum.hh of the header with its CRC field
+ * zeroed then the records then the aux bytes, config hash, seed,
+ * record/aux counts) followed by the record array and the aux bytes. Corruption policy mirrors the run journal: a
  * truncated tail, a bit flip anywhere in the file, or a foreign-version
- * header (v1 files included) make the file invalid as a whole and force
- * a re-capture — a capture is a cache entry, never a source of truth.
+ * header (v1 files included) make the file invalid as a whole, and the
+ * remedy is to capture again — a capture is a cache entry, never a
+ * source of truth.
  *
  * Record buffers use the MmapAlloc substrate from sim/trace: capture
  * runs read host pointers as simulated addresses, so buffers growing
@@ -73,7 +76,6 @@
 #ifndef TARTAN_SIM_CAPTURE_HH
 #define TARTAN_SIM_CAPTURE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -682,22 +684,6 @@ class CaptureSuppress
   private:
     CaptureSession *sess;
 };
-
-/**
- * Process-wide capture accounting, surfaced in the BENCH manifest's
- * capture block: robot executions recorded, captures served from
- * TARTAN_CAPTURE_DIR files, and replays performed. The 1-execution +
- * N-replays property of a converted sweep is asserted on exactly these
- * counters.
- */
-struct CaptureStats {
-    std::atomic<std::uint64_t> captures{0}; //!< robot runs recorded
-    std::atomic<std::uint64_t> fileHits{0}; //!< captures loaded from disk
-    std::atomic<std::uint64_t> replays{0};  //!< replayed cells
-};
-
-/** The process-wide capture counters. */
-CaptureStats &captureStats();
 
 } // namespace tartan::sim
 

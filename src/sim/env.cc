@@ -108,12 +108,6 @@ RunEnv::parse()
     }
     if (const char *dir = std::getenv("TARTAN_CACHE_DIR"))
         env.cacheDir = dir;
-    if (const char *replay = std::getenv("TARTAN_REPLAY")) {
-        const std::string v = replay;
-        env.replay = v == "1" || v == "on" || v == "true";
-    }
-    if (const char *dir = std::getenv("TARTAN_CAPTURE_DIR"))
-        env.captureDir = dir;
     if (const char *cores = std::getenv("TARTAN_CORES")) {
         const long long v = std::atoll(cores);
         if (v >= 1 && v <= 64)

@@ -88,22 +88,6 @@ struct RunEnv {
      */
     std::string cacheDir;
     /**
-     * $TARTAN_REPLAY: when truthy ("1"/"on"/"true"), sweep drivers
-     * built on replayCell() run each robot once to capture its
-     * Core-boundary op stream and replay that capture through the
-     * remaining configurations instead of re-executing the robot.
-     * Results are byte-identical either way (the CI capture-replay job
-     * enforces it); off by default so a plain build changes nothing.
-     */
-    bool replay = false;
-    /**
-     * $TARTAN_CAPTURE_DIR: directory for persisted capture traces
-     * ("" = keep captures in memory only). Files are content-addressed
-     * by (capture config hash, seed), so re-runs of the same sweep
-     * reload the capture instead of re-executing the robot.
-     */
-    std::string captureDir;
-    /**
      * $TARTAN_CORES: instantiated core count for multi-core drivers
      * (0 = driver default). fleet_contention uses it as the fleet
      * size; drivers built on the single-core machine ignore it.

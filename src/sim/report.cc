@@ -108,16 +108,6 @@ BenchReporter::campaignStats(std::uint64_t simulated,
     campaignTotals.failed += failed;
 }
 
-void
-BenchReporter::captureStats(std::uint64_t captures,
-                            std::uint64_t file_hits, std::uint64_t replays)
-{
-    captureTotals.recorded = true;
-    captureTotals.captures = captures;
-    captureTotals.fileHits = file_hits;
-    captureTotals.replays = replays;
-}
-
 std::unique_ptr<TraceSession>
 BenchReporter::makeTrace(const std::string &run)
 {
@@ -177,12 +167,6 @@ BenchReporter::writeJson(std::ostream &os) const
            << ", \"journalHits\": " << campaignTotals.journalHits
            << ", \"cacheHits\": " << campaignTotals.cacheHits
            << ", \"failed\": " << campaignTotals.failed << "}";
-    }
-    if (captureTotals.recorded) {
-        os << ",\n    \"capture\": {\"captures\": "
-           << captureTotals.captures
-           << ", \"fileHits\": " << captureTotals.fileHits
-           << ", \"replays\": " << captureTotals.replays << "}";
     }
     if (!failureRows.empty()) {
         os << ",\n    \"failures\": [";
@@ -368,16 +352,6 @@ validateBenchJson(std::string_view text, std::string *err)
             const json::Value *field = v->find(key);
             if (!field || !field->isNumber())
                 return schemaFail(err, std::string("manifest.campaign.") +
-                                           key + " missing or non-number");
-        }
-    }
-    if (const json::Value *v = manifest->find("capture")) {
-        if (!v->isObject())
-            return schemaFail(err, "manifest.capture is not an object");
-        for (const char *key : {"captures", "fileHits", "replays"}) {
-            const json::Value *field = v->find(key);
-            if (!field || !field->isNumber())
-                return schemaFail(err, std::string("manifest.capture.") +
                                            key + " missing or non-number");
         }
     }

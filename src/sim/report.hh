@@ -106,16 +106,6 @@ class BenchReporter
     void campaignStats(std::uint64_t simulated, std::uint64_t journal_hits,
                        std::uint64_t cache_hits, std::uint64_t failed);
 
-    /**
-     * Record the capture-replay accounting (manifest.capture block):
-     * robot executions recorded, captures served from TARTAN_CAPTURE_DIR
-     * files, cells replayed. Like the campaign block, it lives in the
-     * manifest so bench_diff never compares it — a replayed sweep's
-     * payload stays byte-comparable to a direct one.
-     */
-    void captureStats(std::uint64_t captures, std::uint64_t file_hits,
-                      std::uint64_t replays);
-
     /** True when any cellFailure() was recorded (exit-code policy). */
     bool hasFailures() const { return !failureRows.empty(); }
 
@@ -168,13 +158,6 @@ class BenchReporter
         std::uint64_t failed = 0;
     };
 
-    struct CaptureTotals {
-        bool recorded = false;
-        std::uint64_t captures = 0;
-        std::uint64_t fileHits = 0;
-        std::uint64_t replays = 0;
-    };
-
     std::string benchName;
     std::string paperNote;
     std::string noteText;
@@ -187,7 +170,6 @@ class BenchReporter
     std::vector<CpiRowData> cpiRows;
     std::vector<FailureRow> failureRows;
     CampaignTotals campaignTotals;
-    CaptureTotals captureTotals;
     std::vector<std::string> tracePaths;
     bool written = false;
 };

@@ -45,24 +45,6 @@ class Watchdog
         cv.notify_all();
     }
 
-    /**
-     * Push @p watch's deadline out by @p by (a suspended wait the cell
-     * should not be billed for), un-expiring it when the new deadline
-     * lies in the future again.
-     */
-    void
-    extend(CellWatch *watch, std::chrono::steady_clock::duration by)
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        for (const auto &w : watches) {
-            if (w.get() != watch)
-                continue;
-            w->deadline += by;
-            if (std::chrono::steady_clock::now() < w->deadline)
-                w->expired.store(false, std::memory_order_relaxed);
-        }
-    }
-
     void
     remove(const CellWatch *watch)
     {
@@ -140,26 +122,6 @@ ScopedCellWatch::~ScopedCellWatch()
     tlsHeartbeat.watch = nullptr;
     tlsHeartbeat.local = 0;
     Watchdog::instance().remove(watch.get());
-}
-
-ScopedWatchSuspend::ScopedWatchSuspend()
-    : saved(tlsHeartbeat.watch), savedLocal(tlsHeartbeat.local)
-{
-    if (!saved)
-        return;
-    tlsHeartbeat.watch = nullptr;
-    tlsHeartbeat.local = 0;
-    start = std::chrono::steady_clock::now();
-}
-
-ScopedWatchSuspend::~ScopedWatchSuspend()
-{
-    if (!saved)
-        return;
-    Watchdog::instance().extend(saved,
-                                std::chrono::steady_clock::now() - start);
-    tlsHeartbeat.watch = saved;
-    tlsHeartbeat.local = savedLocal;
 }
 
 void

@@ -114,34 +114,6 @@ class ScopedCellWatch
 };
 
 /**
- * Temporarily exempt the current thread from its armed deadline.
- *
- * A cell that blocks on work outside its own control — the capture
- * sources of the replay engine serialise sibling cells behind one
- * mutex while the first cell records the shared capture — would burn
- * its whole TARTAN_TIMEOUT budget waiting and then time out spuriously
- * at its first post-wait heartbeat. This RAII detaches the thread's
- * watch for the wait; on destruction it re-arms the watch and extends
- * its deadline by the suspended duration (clearing an `expired` flag
- * the scanner raised in the meantime), so the cell's *own* work still
- * gets exactly its configured budget. Inert when no watch is armed.
- */
-class ScopedWatchSuspend
-{
-  public:
-    ScopedWatchSuspend();
-    ~ScopedWatchSuspend();
-
-    ScopedWatchSuspend(const ScopedWatchSuspend &) = delete;
-    ScopedWatchSuspend &operator=(const ScopedWatchSuspend &) = delete;
-
-  private:
-    CellWatch *saved = nullptr;
-    std::uint64_t savedLocal = 0;
-    std::chrono::steady_clock::time_point start;
-};
-
-/**
  * Deterministic cooperative hang: spin until the armed deadline
  * expires (throwing CellTimeoutError), or — with no watch armed —
  * forever. The `cell:hang` fault class calls this to model a wedged

@@ -28,6 +28,20 @@ using tartan::sim::MemDep;
 using tartan::sim::OpClass;
 using tartan::sim::PcId;
 
+CaptureTrace
+captureRobot(RobotFn run, const MachineSpec &spec,
+             const WorkloadOptions &opt)
+{
+    tartan::sim::CaptureSession session(0, opt.seed);
+    WorkloadOptions copt = opt;
+    copt.capture = &session;
+    const RunResult res = run(spec, copt);
+    session.setRobot(res.robot);
+    for (const auto &[name, value] : res.metrics)
+        session.addMetric(name, value);
+    return session.take();
+}
+
 bool
 replayCompatible(const MachineSpec &cap_spec,
                  const WorkloadOptions &cap_opt, const MachineSpec &spec,

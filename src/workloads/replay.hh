@@ -1,14 +1,17 @@
 /**
  * @file
- * Replay half of the capture-once / replay-many engine.
+ * Replay half of the capture / replay engine.
  *
- * replayTrace() streams a captured Core-boundary op stream (see
- * sim/capture.hh) through a fresh Machine built from an arbitrary
- * timing configuration and produces the same RunResult a direct robot
- * run under that configuration would — byte-identical counters, CPI
- * stacks and metrics — without executing any robot code. A sweep of N
- * configurations over one (robot, seed) thus costs one robot execution
- * plus N cheap replays.
+ * captureRobot() records one robot run's Core-boundary op stream (see
+ * sim/capture.hh). replayTrace() streams such a capture through a fresh
+ * Machine built from an arbitrary timing configuration and produces
+ * the same RunResult a direct robot run under that configuration would
+ * — byte-identical counters, CPI stacks and metrics — without
+ * executing any robot code. That does not make a single-core sweep
+ * cheaper: the timing model, which replay still runs in full, is most
+ * of a run's host time. What replay buys is an op stream decoupled
+ * from its robot, which replayFleet() needs to interleave N robots on
+ * one multi-core machine, and which a .tcap file can carry.
  *
  * The soundness argument: deterministic addressing makes every
  * cache/prefetcher/FCP decision a pure function of the op *sequence*,
@@ -28,6 +31,7 @@
 #include "sim/capture.hh"
 #include "sim/uncore.hh"
 #include "workloads/common.hh"
+#include "workloads/robots.hh"
 
 namespace tartan::workloads {
 
@@ -37,6 +41,15 @@ struct FleetUncoreSnapshot {
     tartan::sim::XbarStats xbar;
     tartan::sim::MemCtrlStats memctrl;
 };
+
+/**
+ * Run @p run under (@p spec, @p opt) with a CaptureSession attached and
+ * return the recorded op stream, stamped with the run's robot name and
+ * metrics so that a replay reproduces the whole RunResult. The trace's
+ * seed is opt.seed; its config hash is 0.
+ */
+tartan::sim::CaptureTrace captureRobot(RobotFn run, const MachineSpec &spec,
+                                       const WorkloadOptions &opt);
 
 /**
  * True when a capture recorded under (@p cap_spec, @p cap_opt) can be

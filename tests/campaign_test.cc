@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <clocale>
 #include <cmath>
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/campaign.hh"
@@ -748,34 +746,6 @@ TEST(CampaignRunner, WatchdogUnwindsHungReplayWorkers)
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].status, CellOutcome::Status::Failed);
     EXPECT_EQ(outcomes[0].errorClass, "timeout");
-}
-
-TEST(CampaignRunner, SuspendedWaitsDoNotEatTheCellBudget)
-{
-    // Replayed siblings queue behind the first cell's capture under
-    // ScopedWatchSuspend: the wait must not count against their own
-    // TARTAN_TIMEOUT budget. Model the wait with a sleep longer than
-    // the whole deadline — suspended, the cell still completes.
-    CampaignConfig cfg;
-    cfg.timeoutSec = 0.1;
-    cfg.retries = 0;
-
-    RunPool pool(1);
-    CampaignRunner runner("suspend", pool, cfg, kSchema);
-    runner.submit(CellSpec{"waits", 1, 1, true}, []() {
-        {
-            tartan::sim::ScopedWatchSuspend suspend;
-            std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        }
-        // Back on the clock: the extended deadline must have room left.
-        for (int i = 0; i < 4096; ++i)
-            tartan::sim::heartbeat();
-        return std::string("{}");
-    });
-    const auto outcomes = runner.gather();
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].status, CellOutcome::Status::Ok)
-        << outcomes[0].errorClass << ": " << outcomes[0].errorDetail;
 }
 
 TEST(CampaignRunner, ResumeReplaysJournaledCellsWithoutSimulating)

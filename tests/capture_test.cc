@@ -1,29 +1,25 @@
 /**
  * @file
- * Capture-once / replay-many engine: the byte-identity contract the
- * converted sweep drivers rely on. The tests pin down (1) the capture
- * file's corruption policy — truncated tails, bit-flipped bodies,
- * foreign format versions and implausible headers never load, mirroring
- * the run journal; (2) replay-vs-direct equivalence — for every robot
- * in the suite, a replayed capture reproduces the direct run's counters
- * and per-kernel CPI stacks exactly, both at the capture configuration
- * and across timing-only machine changes; (3) the capture accounting —
- * one robot execution serves N replays, with persisted captures
- * reloaded (and re-captured when corrupt) on later runs; (4) the
- * resume-mode mix — journaled replayed cells resume byte-identically;
- * (5) the capture I/O substrate — the sliced CRC-32 equals the bytewise
- * definition, the pinned format-v2 file loads and saves to the same
- * bytes, and a session whose record reservation cannot be mapped still
- * records; (6) a mutation corpus over the pinned file — truncation at
- * every length, a bit flip in every header and record byte, aux cursor
- * overruns and the retired v1 pin — where every mutant is rejected
- * with a reason; (7) record fusion — the session fuses exactly the
- * memory-then-compute pairs it may, and replaying a capture with its
- * fused records split back into primitives changes nothing.
- *
- * The static initializer below pins TARTAN_REPLAY / TARTAN_CAPTURE_DIR
- * for this whole binary: RunEnv snapshots the environment on first use,
- * so the variables must be set before any simulator code runs.
+ * Capture / replay engine: the byte-identity contract fleet replay and
+ * saved .tcap files rely on. The tests pin down (1) the capture file's
+ * corruption policy — truncated tails, bit-flipped bodies, foreign
+ * format versions and implausible headers never load, mirroring the run
+ * journal; (2) replay-vs-direct equivalence — for every robot in the
+ * suite, a replayed capture reproduces the direct run's counters and
+ * per-kernel CPI stacks exactly at the capture configuration
+ * (sweep_replay_test.cc covers the timing-only sweeps); (3) capture
+ * density — fig10's captures, saved and reloaded, stay within 16 file
+ * bytes per captured op; (4) the resume-mode mix — journaled replayed
+ * cells resume byte-identically; (5) the capture I/O substrate — the
+ * sliced CRC-32 equals the bytewise definition, the pinned format-v2
+ * file loads and saves to the same bytes, and a session whose record
+ * reservation cannot be mapped still records; (6) a mutation corpus
+ * over the pinned file — truncation at every length, a bit flip in
+ * every header and record byte, aux cursor overruns and the retired v1
+ * pin — where every mutant is rejected with a reason; (7) record fusion
+ * — the session fuses exactly the memory-then-compute pairs it may, and
+ * replaying a capture with its fused records split back into primitives
+ * changes nothing.
  */
 
 #include <gtest/gtest.h>
@@ -44,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "../bench/bench_util.hh"
 #include "sim/campaign.hh"
 #include "sim/capture.hh"
 #include "sim/checksum.hh"
@@ -58,39 +53,17 @@
 
 namespace fs = std::filesystem;
 
-using tartan::bench::CaptureSource;
 using tartan::sim::CapOp;
 using tartan::sim::CapRecord;
 using tartan::sim::CaptureSession;
 using tartan::sim::CaptureTrace;
+using tartan::workloads::captureRobot;
 using tartan::workloads::MachineSpec;
 using tartan::workloads::RunResult;
 using tartan::workloads::SoftwareTier;
 using tartan::workloads::WorkloadOptions;
 
 namespace {
-
-/** Capture-dir root for the whole binary (set before RunEnv parses). */
-std::string
-captureRoot()
-{
-    static const std::string root = "/tmp/tartan_capture_test_" +
-                                    std::to_string(::getpid());
-    return root;
-}
-
-/**
- * RunEnv::get() snapshots the environment exactly once; pin the
- * replay configuration before any test (or static simulator state)
- * can trigger that parse.
- */
-const bool envPinned = [] {
-    ::setenv("TARTAN_REPLAY", "1", 1);
-    ::setenv("TARTAN_CAPTURE_DIR", captureRoot().c_str(), 1);
-    fs::remove_all(captureRoot());
-    fs::create_directories(captureRoot());
-    return true;
-}();
 
 std::string
 slurp(const fs::path &path)
@@ -879,27 +852,45 @@ TEST(CaptureSession, RecordsIntoTheReservationWithoutRegrowth)
 }
 
 // ---------------------------------------------------------------------------
-// Replay-vs-direct equivalence
+// Capture density: file bytes per captured op
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/** Capture @p run at (@p spec, @p opt) exactly as CaptureSource does. */
-CaptureTrace
-captureRun(tartan::workloads::RobotFn run, const MachineSpec &spec,
-           const WorkloadOptions &opt)
+TEST(CaptureDensity, Fig10CapturesSaveAtMostSixteenBytesPerOp)
 {
-    CaptureSession session(1, opt.seed);
-    WorkloadOptions copt = opt;
-    copt.capture = &session;
-    const RunResult res = run(spec, copt);
-    session.setRobot(res.robot);
-    for (const auto &[name, value] : res.metrics)
-        session.addMetric(name, value);
-    return session.take();
+    // fig10's capture configuration (baseline machine, Optimized tier)
+    // at reduced scale. Each capture goes through a .tcap file and back,
+    // so the loader's full CRC and aux-cursor validation runs on it.
+    // File bytes (header, records, aux) are charged per Core-boundary
+    // op, a fused memory+compute record counting as two: unfused 16-byte
+    // records alone would already spend 16 bytes per op.
+    WorkloadOptions opt;
+    opt.tier = SoftwareTier::Optimized;
+    opt.scale = 0.25;
+    const MachineSpec spec = MachineSpec::baseline();
+    const fs::path dir = scratchDir("density");
+    for (const auto &robot : tartan::workloads::robotSuite()) {
+        SCOPED_TRACE(robot.name);
+        const std::string path =
+            (dir / (std::string(robot.name) + ".tcap")).string();
+        std::string err;
+        ASSERT_TRUE(captureRobot(robot.run, spec, opt).save(path, &err))
+            << err;
+        CaptureTrace loaded;
+        ASSERT_TRUE(CaptureTrace::load(path, loaded, &err)) << err;
+        const std::uintmax_t bytes = fs::file_size(path);
+        fs::remove(path);
+        std::uint64_t ops = 0;
+        for (const CapRecord &r : loaded.records)
+            ops += tartan::sim::capOpCount(r);
+        ASSERT_GT(ops, 0u);
+        EXPECT_LE(double(bytes) / double(ops), 16.0)
+            << bytes << " file bytes for " << ops << " ops";
+    }
 }
 
-} // namespace
+// ---------------------------------------------------------------------------
+// Replay-vs-direct equivalence
+// ---------------------------------------------------------------------------
 
 TEST(ReplayEquivalence, EveryRobotReplaysExactlyAtTheCaptureConfig)
 {
@@ -914,7 +905,7 @@ TEST(ReplayEquivalence, EveryRobotReplaysExactlyAtTheCaptureConfig)
         const MachineSpec spec = MachineSpec::baseline();
 
         const RunResult direct = robot.run(spec, opt);
-        const CaptureTrace trace = captureRun(robot.run, spec, opt);
+        const CaptureTrace trace = captureRobot(robot.run, spec, opt);
         ASSERT_TRUE(trace.validate());
         const RunResult replayed =
             tartan::workloads::replayTrace(trace, spec, opt);
@@ -967,7 +958,7 @@ TEST(ReplayEquivalence, FusedAndSplitTracesReplayIdentically)
     std::map<CapOp, std::uint64_t> fused_seen;
     for (const auto &robot : tartan::workloads::robotSuite()) {
         SCOPED_TRACE(robot.name);
-        const CaptureTrace trace = captureRun(robot.run, spec, opt);
+        const CaptureTrace trace = captureRobot(robot.run, spec, opt);
         for (const CapRecord &r : trace.records)
             if (tartan::sim::capOpCount(r) == 2)
                 ++fused_seen[CapOp(r.op)];
@@ -1011,7 +1002,7 @@ TEST(ReplayEquivalence, TimingOnlyMachineChangesReplayExactly)
             continue; // two representatives keep the test fast
         ASSERT_TRUE(tartan::workloads::replayCompatible(base, opt, anl,
                                                         opt));
-        const CaptureTrace trace = captureRun(robot.run, base, opt);
+        const CaptureTrace trace = captureRobot(robot.run, base, opt);
         const RunResult direct = robot.run(anl, opt);
         const RunResult replayed =
             tartan::workloads::replayTrace(trace, anl, opt);
@@ -1032,7 +1023,7 @@ TEST(ReplayEquivalence, NpuConfigSweepsReplayExactly)
     opt.seed = 99;
     const MachineSpec cap_spec = MachineSpec::tartan();
     const CaptureTrace trace =
-        captureRun(tartan::workloads::runPatrolBot, cap_spec, opt);
+        captureRobot(tartan::workloads::runPatrolBot, cap_spec, opt);
 
     for (std::uint32_t pes : {2u, 8u}) {
         MachineSpec swept = cap_spec;
@@ -1077,93 +1068,6 @@ TEST(ReplayEquivalence, SequenceShapingChangesAreIncompatible)
 }
 
 // ---------------------------------------------------------------------------
-// Capture accounting: one execution, many replays
-// ---------------------------------------------------------------------------
-
-TEST(CaptureAccounting, OneExecutionServesManyReplays)
-{
-    ASSERT_TRUE(envPinned);
-    ASSERT_TRUE(tartan::sim::RunEnv::get().replay);
-
-    WorkloadOptions opt;
-    opt.tier = SoftwareTier::Optimized;
-    opt.scale = 0.25;
-    opt.seed = 4242;
-    const MachineSpec base = MachineSpec::baseline();
-
-    auto &stats = tartan::sim::captureStats();
-    const std::uint64_t captures0 = stats.captures.load();
-
-    CaptureSource src("DeliBot", tartan::workloads::runDeliBot, base,
-                      opt);
-    const RunResult direct = tartan::workloads::runDeliBot(base, opt);
-
-    // Three timing sweeps off one acquisition: exactly one execution.
-    std::vector<RunResult> replays;
-    for (int i = 0; i < 3; ++i) {
-        MachineSpec swept = base;
-        swept.useAnl = (i > 0);
-        swept.anlCfg.entries = 8u << i;
-        swept.anlCfg.lineBytes = swept.sys.lineBytes;
-        auto trace = src.acquire();
-        replays.push_back(
-            tartan::workloads::replayTrace(*trace, swept, opt));
-    }
-    EXPECT_EQ(stats.captures.load(), captures0 + 1);
-    expectIdentical(direct, replays[0]);
-
-    // The capture persisted under its content address; a fresh source
-    // (a later process, modelled by a new object) loads the file
-    // instead of re-executing the robot.
-    const std::uint64_t hits0 = stats.fileHits.load();
-    CaptureSource fresh("DeliBot", tartan::workloads::runDeliBot, base,
-                        opt);
-    auto loaded = fresh.acquire();
-    EXPECT_EQ(stats.fileHits.load(), hits0 + 1);
-    EXPECT_EQ(stats.captures.load(), captures0 + 1);
-    expectIdentical(direct, tartan::workloads::replayTrace(*loaded, base,
-                                                           opt));
-}
-
-TEST(CaptureAccounting, CorruptPersistedCaptureIsRecaptured)
-{
-    ASSERT_TRUE(envPinned);
-    WorkloadOptions opt;
-    opt.tier = SoftwareTier::Optimized;
-    opt.scale = 0.25;
-    opt.seed = 777;
-    const MachineSpec base = MachineSpec::baseline();
-
-    auto &stats = tartan::sim::captureStats();
-    CaptureSource first("FlyBot", tartan::workloads::runFlyBot, base,
-                        opt);
-    (void)first.acquire();
-
-    // Find the persisted file and flip a body byte: the next source
-    // must reject it, warn, and re-execute the robot.
-    fs::path victim;
-    for (const auto &e : fs::directory_iterator(captureRoot()))
-        if (e.path().string().find("_777.tcap") != std::string::npos)
-            victim = e.path();
-    ASSERT_FALSE(victim.empty());
-    std::string bytes = slurp(victim);
-    bytes[bytes.size() / 2] ^= 0x01;
-    spit(victim, bytes);
-
-    const std::uint64_t captures0 = stats.captures.load();
-    const std::uint64_t hits0 = stats.fileHits.load();
-    CaptureSource second("FlyBot", tartan::workloads::runFlyBot, base,
-                         opt);
-    auto trace = second.acquire();
-    EXPECT_EQ(stats.fileHits.load(), hits0);
-    EXPECT_EQ(stats.captures.load(), captures0 + 1);
-
-    const RunResult direct = tartan::workloads::runFlyBot(base, opt);
-    expectIdentical(direct, tartan::workloads::replayTrace(*trace, base,
-                                                           opt));
-}
-
-// ---------------------------------------------------------------------------
 // Resume mix: replayed cells journal and resume byte-identically
 // ---------------------------------------------------------------------------
 
@@ -1190,12 +1094,11 @@ TEST(ReplayEquivalence, ResumeMixReplaysJournaledCellsByteIdentically)
         return tartan::workloads::encodeRunResult(
             tartan::workloads::runCarriBot(base, opt));
     };
-    CaptureSource src("CarriBot", tartan::workloads::runCarriBot, base,
-                      opt);
+    const CaptureTrace trace =
+        captureRobot(tartan::workloads::runCarriBot, base, opt);
     const auto replay_cell = [&] {
-        auto trace = src.acquire();
         return tartan::workloads::encodeRunResult(
-            tartan::workloads::replayTrace(*trace, anl, opt));
+            tartan::workloads::replayTrace(trace, anl, opt));
     };
 
     // First sweep mixes a direct and a replayed cell.

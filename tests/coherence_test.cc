@@ -251,24 +251,10 @@ TEST(Uncore, BankConflictDelaysAndRowHitsJumpTheQueue)
 
 namespace {
 
+using tartan::workloads::captureRobot;
 using tartan::workloads::MachineSpec;
 using tartan::workloads::RunResult;
 using tartan::workloads::WorkloadOptions;
-
-/** Capture one robot exactly as bench's CaptureSource does. */
-CaptureTrace
-captureRobot(tartan::workloads::RobotFn run, const MachineSpec &spec,
-             const WorkloadOptions &opt)
-{
-    CaptureSession session(1, opt.seed);
-    WorkloadOptions copt = opt;
-    copt.capture = &session;
-    const RunResult res = run(spec, copt);
-    session.setRobot(res.robot);
-    for (const auto &[name, value] : res.metrics)
-        session.addMetric(name, value);
-    return session.take();
-}
 
 void
 expectSameResult(const RunResult &a, const RunResult &b)

@@ -166,15 +166,10 @@ const CaptureTrace &
 deliBotCapture()
 {
     static const CaptureTrace trace = [] {
-        const MachineSpec spec = MachineSpec::tartan();
         WorkloadOptions opt;
         opt.scale = 0.5;
-        CaptureSession session(0, opt.seed);
-        opt.capture = &session;
-        for (const auto &robot : tartan::workloads::robotSuite())
-            if (std::string(robot.name) == "DeliBot")
-                robot.run(spec, opt);
-        return session.take();
+        return tartan::workloads::captureRobot(
+            tartan::workloads::runDeliBot, MachineSpec::tartan(), opt);
     }();
     return trace;
 }
